@@ -49,13 +49,6 @@ from .segmentation import (
     raw_score,
     segment,
 )
-from .tensor_ops import (
-    fold,
-    frobenius_norm,
-    mode_product,
-    reconstruct,
-    truncated_hosvd,
-    unfold,
-)
+from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .nnls import NnlsProblem, SolverConfig, core_prox_gradient, hals_nnls
-from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd, unfold
+from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class NtdConfig:
     seed: int = 0
     perturb_init: bool = False
     inner: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if self.max_outer_iters < 0:
+            raise ValueError("max_outer_iters must be nonnegative")
+        if not 0.0 <= self.outer_tolerance < 1.0:
+            raise ValueError("outer_tolerance must lie in [0, 1)")
 
 
 @dataclass
@@ -126,17 +132,30 @@ def _factor_problem(
     The unknown is the transposed factor, so the Gram is rank-by-rank and
     never touches the long tensor modes directly.
     """
+    others = tuple(i for i in range(3) if i != mode)
     projected = x
     core_image = core
-    for i, f in enumerate(factors):
-        if i == mode:
-            continue
-        projected = mode_product(projected, f.T, i)
-        core_image = mode_product(core_image, f.T @ f, i)
-    core_mat = unfold(core, mode)
-    gram = core_mat @ unfold(core_image, mode).T
-    cross = core_mat @ unfold(projected, mode).T
+    for i in others:
+        projected = mode_product(projected, factors[i].T, i)
+        core_image = mode_product(core_image, factors[i].T @ factors[i], i)
+    gram = np.tensordot(core, core_image, axes=(others, others))
+    cross = np.tensordot(core, projected, axes=(others, others))
     return NnlsProblem(gram=gram, cross=cross, scale=x_sq)
+
+
+def _check_init(init: NtdModel, shape: tuple[int, int, int], ranks: NtdRanks) -> None:
+    r = ranks.as_tuple()
+    expected = {
+        "w": (shape[0], r[0]), "h": (shape[1], r[1]), "q": (shape[2], r[2]), "core": r,
+    }
+    for name, want in expected.items():
+        array = getattr(init, name)
+        if array.shape != want:
+            raise ValueError(f"init {name} has shape {array.shape}, expected {want}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"init {name} has non-finite entries")
+        if np.any(array < 0):
+            raise ValueError(f"init {name} has negative entries")
 
 
 def decompose(
@@ -150,10 +169,14 @@ def decompose(
     normalized; its objective trace holds one entry per completed cycle
     plus the initial value. `init` overrides the HOSVD starting point.
     """
+    non_finite = int(np.count_nonzero(~np.isfinite(x)))
+    if non_finite:
+        raise ValueError(f"input tensor has {non_finite} non-finite entries (NaN or inf)")
     if np.any(x < 0):
         raise ValueError("input tensor must be nonnegative")
     if init is not None:
         ranks.validate_for(x.shape)
+        _check_init(init, x.shape, ranks)
         model = NtdModel(
             w=init.w.copy(), h=init.h.copy(), q=init.q.copy(),
             core=init.core.copy(), ranks=ranks, objective_trace=[],

@@ -1,7 +1,7 @@
 """Boundary hit-rate metrics and experiment harnesses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,24 +28,23 @@ class HitRateScore:
     n_est: int
 
 
-def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size via augmenting paths."""
-    match_right = [-1] * n_right
+def _max_matching(reference: list[float], estimate: list[float], tolerance: float) -> int:
+    """Maximum one-to-one matching of two sorted lists within `tolerance`.
 
-    def augment(left: int, seen: list[bool]) -> bool:
-        for right in adjacency[left]:
-            if seen[right]:
-                continue
-            seen[right] = True
-            if match_right[right] == -1 or augment(match_right[right], seen):
-                match_right[right] = left
-                return True
-        return False
-
-    matched = 0
-    for left in range(len(adjacency)):
-        if augment(left, [False] * n_right):
+    Every tolerance window has the same width, so pairing the earliest
+    unmatched reference with the earliest unmatched estimate it can reach
+    is optimal; one forward pass over both lists suffices.
+    """
+    matched = i = j = 0
+    while i < len(reference) and j < len(estimate):
+        if abs(reference[i] - estimate[j]) <= tolerance:
             matched += 1
+            i += 1
+            j += 1
+        elif estimate[j] < reference[i]:
+            j += 1
+        else:
+            i += 1
     return matched
 
 
@@ -62,11 +61,7 @@ def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
-    adjacency = [
-        [j for j, est in enumerate(estimate) if abs(ref - est) <= tolerance]
-        for ref in reference
-    ]
-    matched = _max_matching(adjacency, len(estimate))
+    matched = _max_matching(reference, estimate, tolerance)
     precision = matched / len(estimate) if estimate else 0.0
     recall = matched / len(reference) if reference else 0.0
     f_measure = (
@@ -225,11 +220,7 @@ def fit_lambda(
         total = 0.0
         for i in indices:
             autosim, bars, ref_bounds = prepared[i]
-            cfg = SegmentationConfig(
-                penalty_weight=lam,
-                max_segment_bars=seg_cfg.max_segment_bars,
-                kernel_band=seg_cfg.kernel_band,
-            )
+            cfg = replace(seg_cfg, penalty_weight=lam)
             seg = boundaries_to_times(segment(autosim, cfg), bars)
             total += hit_rate(ref_bounds, list(seg.boundary_times), tolerance).f_measure
         return total / len(indices)

@@ -1,4 +1,4 @@
-"""Dense order-3 tensor arithmetic: unfoldings, mode products, HOSVD."""
+"""Dense order-3 tensor arithmetic: mode products, reconstruction, HOSVD."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,37 +9,22 @@ def _check_mode(mode: int) -> None:
         raise ValueError(f"mode must be 0, 1 or 2, got {mode}")
 
 
-def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n unfolding with Kolda-Bader column ordering.
-
-    Fibers along `mode` become columns; the remaining indices vary
-    fastest-first (Fortran order), so ``fold(unfold(t, n), n, t.shape)``
-    is an exact inverse.
-    """
-    _check_mode(mode)
-    return np.reshape(
-        np.moveaxis(tensor, mode, 0), (tensor.shape[mode], -1), order="F"
-    )
-
-
-def fold(matrix: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold` for a tensor of the given shape."""
-    _check_mode(mode)
-    moved = (shape[mode],) + tuple(s for i, s in enumerate(shape) if i != mode)
-    return np.moveaxis(np.reshape(matrix, moved, order="F"), 0, mode)
-
-
 def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Contract `matrix` with `tensor` along `mode` (the n-mode product)."""
     _check_mode(mode)
+    if tensor.ndim != 3:
+        raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
     if matrix.ndim != 2 or matrix.shape[1] != tensor.shape[mode]:
         raise ValueError(
             f"matrix of shape {matrix.shape} cannot contract mode {mode} "
             f"of tensor with shape {tensor.shape}"
         )
-    new_shape = list(tensor.shape)
-    new_shape[mode] = matrix.shape[0]
-    return fold(matrix @ unfold(tensor, mode), mode, tuple(new_shape))
+    if mode == 0:
+        flat = matrix @ tensor.reshape(tensor.shape[0], -1)
+        return flat.reshape((matrix.shape[0],) + tensor.shape[1:])
+    if mode == 1:
+        return matrix @ tensor
+    return tensor @ matrix.T
 
 
 def reconstruct(
@@ -64,7 +49,7 @@ def truncated_hosvd(
     """Truncated higher-order SVD of an order-3 tensor.
 
     Returns ``(w, h, q, core)`` where each factor holds the leading left
-    singular vectors of the corresponding unfolding and
+    singular vectors of the tensor's mode-n fibers and
     ``core = tensor x0 w.T x1 h.T x2 q.T``. With ``nonnegative=True``
     (the default) every output is passed through an element-wise absolute
     value, which is the usual nonnegative initialization. Modes listed in
@@ -86,7 +71,9 @@ def truncated_hosvd(
                 )
             factors.append(np.eye(tensor.shape[mode]))
             continue
-        u, _, _ = np.linalg.svd(unfold(tensor, mode), full_matrices=False)
+        # Left singular vectors do not depend on column order, up to sign.
+        fibers = np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
+        u, _, _ = np.linalg.svd(fibers, full_matrices=False)
         factors.append(u[:, : ranks[mode]])
     core = tensor
     for mode, factor in enumerate(factors):

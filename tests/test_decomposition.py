@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,21 @@ class TestInitialize:
             initialize(np.ones((4, 5, 6)), NtdRanks(5, 2, 2))
 
 
+class TestNtdConfig:
+    def test_negative_max_outer_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            NtdConfig(max_outer_iters=-1)
+
+    @pytest.mark.parametrize("tolerance", [-1e-3, 1.0, float("nan")])
+    def test_outer_tolerance_outside_unit_interval_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="outer_tolerance"):
+            NtdConfig(outer_tolerance=tolerance)
+
+    def test_boundary_values_accepted(self):
+        cfg = NtdConfig(max_outer_iters=0, outer_tolerance=0.0)
+        assert (cfg.max_outer_iters, cfg.outer_tolerance) == (0, 0.0)
+
+
 class TestDecompose:
     def test_monotone_trace(self):
         rng = np.random.default_rng(3)
@@ -116,6 +133,49 @@ class TestDecompose:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             decompose(-np.ones((2, 2, 2)), NtdRanks(1, 1, 1))
+
+    def test_nan_input_rejected(self):
+        x = np.random.default_rng(9).random((4, 5, 6))
+        x[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="input tensor has 1 non-finite"):
+            decompose(x, NtdRanks(2, 2, 2))
+
+    def test_inf_input_rejected_quickly(self):
+        x = np.random.default_rng(10).random((12, 96, 89))
+        x[1, 1, 1] = np.inf
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="input tensor has 1 non-finite"):
+            decompose(x, NtdRanks(12, 12, 10))
+        assert time.perf_counter() - start < 0.5
+
+    def test_init_rank_mismatch_rejected(self):
+        # a rank-2 model cannot start a fit labelled with b_rank 3
+        rng = np.random.default_rng(11)
+        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
+        with pytest.raises(ValueError, match="init q has shape"):
+            decompose(init.reconstruct(), NtdRanks(2, 2, 3), init=init)
+
+    def test_init_tensor_mismatch_rejected(self):
+        rng = np.random.default_rng(12)
+        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
+        with pytest.raises(ValueError, match="init h has shape"):
+            decompose(rng.random((4, 7, 6)), init.ranks, init=init)
+
+    def test_negative_init_rejected(self):
+        rng = np.random.default_rng(13)
+        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
+        x = init.reconstruct()
+        init.core[0, 1, 0] = -0.5
+        with pytest.raises(ValueError, match="init core has negative"):
+            decompose(x, init.ranks, init=init)
+
+    def test_non_finite_init_rejected(self):
+        rng = np.random.default_rng(14)
+        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
+        x = init.reconstruct()
+        init.w[0, 0] = np.nan
+        with pytest.raises(ValueError, match="init w has non-finite"):
+            decompose(x, init.ranks, init=init)
 
     def test_membership_recovery_on_separated_patterns(self):
         # well-separated bar patterns: argmax rows of q map onto the true

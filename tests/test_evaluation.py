@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntdseg.decomposition import NtdConfig, NtdRanks
 from ntdseg.evaluation import (
@@ -79,6 +81,26 @@ class TestHitRate:
             assert forward.precision == pytest.approx(backward.recall)
             assert forward.recall == pytest.approx(backward.precision)
             assert forward.matched == backward.matched
+
+    def test_three_thousand_boundaries(self):
+        ref = [float(i) for i in range(3000)]
+        est = [i + 0.5 for i in range(3000)]
+        s = hit_rate(ref, est, 0.5)
+        assert s.matched == 3000
+        assert s.f_measure == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ref=st.lists(st.integers(0, 12), max_size=5),
+        est=st.lists(st.integers(0, 12), max_size=5),
+        tolerance=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_ties_match_exhaustive_oracle(self, ref, est, tolerance):
+        # half-second grid times put many pairs exactly at the tolerance
+        ref = sorted(0.5 * t for t in ref)
+        est = sorted(0.5 * t for t in est)
+        s = hit_rate(ref, est, tolerance)
+        assert s.matched == exhaustive_matching(ref, est, tolerance)
 
     @pytest.mark.parametrize("tolerance", [0.5, 3.0])
     def test_matches_exhaustive_oracle(self, tolerance):

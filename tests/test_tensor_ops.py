@@ -6,6 +6,26 @@ from hypothesis import strategies as st
 from ntdseg import tensor_ops as ops
 
 
+def unfold(tensor, mode):
+    """Mode-n unfolding with Kolda-Bader column ordering.
+
+    Fibers along `mode` become columns; the remaining indices vary
+    fastest-first (Fortran order), so ``fold(unfold(t, n), n, t.shape)``
+    is an exact inverse.
+    """
+    if mode not in (0, 1, 2):
+        raise ValueError(f"mode must be 0, 1 or 2, got {mode}")
+    return np.reshape(
+        np.moveaxis(tensor, mode, 0), (tensor.shape[mode], -1), order="F"
+    )
+
+
+def fold(matrix, mode, shape):
+    """Inverse of :func:`unfold` for a tensor of the given shape."""
+    moved = (shape[mode],) + tuple(s for i, s in enumerate(shape) if i != mode)
+    return np.moveaxis(np.reshape(matrix, moved, order="F"), 0, mode)
+
+
 def brute_force_reconstruct(core, w, h, q):
     """Direct six-nested-loop expansion of the Tucker model."""
     out = np.zeros((w.shape[0], h.shape[0], q.shape[0]))
@@ -25,7 +45,7 @@ class TestUnfold:
     def test_degenerate_dims(self):
         t = np.full((1, 1, 1), 5.0)
         for mode in range(3):
-            assert ops.unfold(t, mode).tolist() == [[5.0]]
+            assert unfold(t, mode).tolist() == [[5.0]]
 
     def test_mode0_fibers_by_triple_loop(self):
         t = np.empty((2, 2, 2))
@@ -33,7 +53,7 @@ class TestUnfold:
             for j in range(2):
                 for k in range(2):
                     t[i, j, k] = i + 2 * j + 4 * k
-        m = ops.unfold(t, 0)
+        m = unfold(t, 0)
         assert m.shape == (2, 4)
         # Fortran column order over (j, k): columns (0,0), (1,0), (0,1), (1,1)
         expected = [[t[i, j, k] for k in range(2) for j in range(2)] for i in range(2)]
@@ -43,7 +63,7 @@ class TestUnfold:
         rng = np.random.default_rng(0)
         t = rng.random((3, 4, 5))
         for mode in range(3):
-            assert np.array_equal(ops.fold(ops.unfold(t, mode), mode, t.shape), t)
+            assert np.array_equal(fold(unfold(t, mode), mode, t.shape), t)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -53,11 +73,11 @@ class TestUnfold:
     )
     def test_round_trip_random_dims(self, dims, mode, seed):
         t = np.random.default_rng(seed).random(dims)
-        assert np.array_equal(ops.fold(ops.unfold(t, mode), mode, dims), t)
+        assert np.array_equal(fold(unfold(t, mode), mode, dims), t)
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            ops.unfold(np.zeros((2, 2, 2)), 3)
+            unfold(np.zeros((2, 2, 2)), 3)
 
 
 class TestModeProduct:
@@ -91,6 +111,36 @@ class TestModeProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ops.mode_product(np.zeros((2, 3, 4)), np.zeros((5, 7)), 1)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 5)])
+    def test_rejects_tensor_not_order_three(self, shape):
+        with pytest.raises(ValueError, match="order 3"):
+            ops.mode_product(np.zeros(shape), np.zeros((2, 3)), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 8)] * 3),
+        rows=st.integers(1, 8),
+        mode=st.integers(0, 2),
+        layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_unfolding_oracle(self, dims, rows, mode, layout, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "transposed":
+            t = rng.random(dims[::-1]).transpose(2, 1, 0)
+        elif layout == "strided":
+            t = rng.random((2 * dims[0], dims[1], 3 * dims[2]))[::2, :, ::3]
+        else:
+            t = rng.random(dims)
+        assert t.shape == dims
+        matrix = rng.random((rows, dims[mode]))
+        if layout == "transposed":
+            matrix = np.asfortranarray(matrix)
+        new_shape = list(dims)
+        new_shape[mode] = rows
+        expected = fold(matrix @ unfold(t, mode), mode, tuple(new_shape))
+        np.testing.assert_allclose(ops.mode_product(t, matrix, mode), expected, rtol=1e-12)
 
 
 class TestReconstruct:
