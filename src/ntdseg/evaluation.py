@@ -58,8 +58,8 @@ def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
     estimate = [float(t) for t in estimate]
     if reference != sorted(reference) or estimate != sorted(estimate):
         raise ValueError("boundary lists must be sorted ascending")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be a positive finite number")
 
     matched = _max_matching(reference, estimate, tolerance)
     precision = matched / len(estimate) if estimate else 0.0

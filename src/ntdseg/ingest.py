@@ -168,30 +168,34 @@ def tensorize(chroma: Chromagram, bars: BarGrid, frames_per_bar: int = 96) -> np
     Each bar span is cut into `frames_per_bar` equal sub-intervals and
     each output frame is the mean of the chroma frames falling in its
     sub-interval. Empty sub-intervals borrow the chroma frame nearest in
-    time to their center. A bar containing no chroma frames at all is a
-    degenerate input and rejected.
+    time to their center, the earlier one on a tie. A bar containing no
+    chroma frames at all is a degenerate input and rejected.
     """
-    if frames_per_bar < 1:
-        raise ValueError("frames_per_bar must be positive")
-    n_pc = chroma.n_pitch_classes
-    out = np.zeros((n_pc, frames_per_bar, bars.n_bars))
-    times = chroma.frame_times
-    for b in range(bars.n_bars):
-        start, end = bars.downbeats[b], bars.downbeats[b + 1]
-        in_bar = (times >= start) & (times < end)
-        if not in_bar.any():
-            raise IngestError(f"bar {b} spanning [{start}, {end}) contains no chroma frames")
-        edges = start + (end - start) * np.arange(frames_per_bar + 1) / frames_per_bar
-        bins = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, frames_per_bar - 1)
-        for t in range(frames_per_bar):
-            members = in_bar & (bins == t)
-            if members.any():
-                out[:, t, b] = chroma.values[:, members].mean(axis=1)
-            else:
-                center = 0.5 * (edges[t] + edges[t + 1])
-                nearest = int(np.argmin(np.abs(times - center)))
-                out[:, t, b] = chroma.values[:, nearest]
-    return out
+    if not isinstance(frames_per_bar, (int, np.integer)) or frames_per_bar < 1:
+        raise ValueError("frames_per_bar must be a positive integer")
+    times, beats, fpb, n_bars = chroma.frame_times, bars.downbeats, frames_per_bar, bars.n_bars
+    first = np.searchsorted(times, beats)  # bar b holds frames first[b]:first[b + 1]
+    counts = np.diff(first)
+    if not counts.all():
+        b = int(np.argmin(counts))
+        start, end = beats[b], beats[b + 1]
+        raise IngestError(f"bar {b} spanning [{start}, {end}) contains no chroma frames")
+    edges = beats[:-1, None] + np.diff(beats)[:, None] * np.arange(fpb + 1) / fpb
+    per_bar = zip(edges, np.split(times, first)[1:-1])
+    sub = np.concatenate([np.searchsorted(e, t, side="right") for e, t in per_bar])
+    # Cells run sub-interval-major, so the sums reshape to (n_pc, fpb, n_bars).
+    cell = np.clip(sub - 1, 0, fpb - 1) * n_bars + np.repeat(np.arange(n_bars), counts)
+    members = np.bincount(cell, minlength=fpb * n_bars)
+    in_bars = chroma.values[:, first[0] : first[-1]]
+    out = np.stack([np.bincount(cell, row, fpb * n_bars) for row in in_bars])
+    empty = members == 0
+    out[:, ~empty] /= members[~empty]
+    centers = (0.5 * (edges[:, :-1] + edges[:, 1:])).T.ravel()[empty]
+    after = np.minimum(np.searchsorted(times, centers), times.size - 1)
+    before = np.maximum(after - 1, 0)
+    later = np.abs(times[after] - centers) < np.abs(times[before] - centers)
+    out[:, empty] = chroma.values[:, np.where(later, after, before)]
+    return out.reshape(chroma.n_pitch_classes, fpb, n_bars)
 
 
 def synth_song(
@@ -254,11 +258,7 @@ def tensor_to_chromagram(tensor: np.ndarray, bars: BarGrid) -> Chromagram:
     n_pc, frames, n_bars = tensor.shape
     if n_bars != bars.n_bars:
         raise ValueError("tensor bar count does not match bar grid")
-    times = np.empty(frames * n_bars)
-    values = np.empty((n_pc, frames * n_bars))
-    for b in range(n_bars):
-        start, end = bars.downbeats[b], bars.downbeats[b + 1]
-        width = (end - start) / frames
-        times[b * frames : (b + 1) * frames] = start + width * (np.arange(frames) + 0.5)
-        values[:, b * frames : (b + 1) * frames] = tensor[:, :, b]
+    width = np.diff(bars.downbeats) / frames
+    times = (bars.downbeats[:-1, None] + width[:, None] * (np.arange(frames) + 0.5)).ravel()
+    values = tensor.transpose(0, 2, 1).reshape(n_pc, -1)
     return Chromagram(frame_times=times, values=values)

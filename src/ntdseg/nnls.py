@@ -61,8 +61,8 @@ class SolverConfig:
             raise ValueError("max_inner_iters must be positive")
         if not 0.0 <= self.inner_tolerance < 1.0:
             raise ValueError("inner_tolerance must lie in [0, 1)")
-        if self.acceleration_budget <= 0:
-            raise ValueError("acceleration_budget must be positive")
+        if not (math.isfinite(self.acceleration_budget) and self.acceleration_budget > 0):
+            raise ValueError("acceleration_budget must be a positive finite number")
 
 
 def hals_nnls(

@@ -15,8 +15,8 @@ class SegmentationConfig:
     kernel_band: int = 4
 
     def __post_init__(self):
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be nonnegative")
+        if not (np.isfinite(self.penalty_weight) and self.penalty_weight >= 0):
+            raise ValueError("penalty_weight must be a nonnegative finite number")
         if self.max_segment_bars < 2:
             raise ValueError("max_segment_bars must be at least 2")
         if self.kernel_band < 1:
@@ -104,9 +104,13 @@ def segment(a: np.ndarray, cfg: SegmentationConfig = SegmentationConfig()) -> Se
     segments no longer than `max_segment_bars`. Ties prefer fewer
     segments, then the lexicographically smallest boundary sequence.
     """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"autosimilarity must be a square matrix, got shape {a.shape}")
     size = a.shape[0]
     if size < 1:
         raise ValueError("autosimilarity must cover at least one bar")
+    if not np.isfinite(a).all():
+        raise ValueError("autosimilarity has non-finite entries (NaN or inf)")
     c_max8 = max_eight_bar_score(a, cfg.kernel_band)
 
     # best[e]: (total score, segment count, boundary prefix) for bars [0, e)

@@ -100,6 +100,18 @@ def test_missing_input_reports_path(tmp_path, capsys):
     assert "nope.json" in err
 
 
+def test_nan_lambda_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix)) == 0
+    code = run(
+        "segment", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
+        "--frames-per-bar", "8", "--lambda", "nan", "--out", str(tmp_path / "est.txt"),
+    )
+    assert code == 1
+    assert "penalty_weight must be a nonnegative finite number" in capsys.readouterr().err
+    assert not (tmp_path / "est.txt").exists()
+
+
 def test_autosim_output(tmp_path):
     prefix = tmp_path / "song"
     assert run(*synth_args(prefix)) == 0

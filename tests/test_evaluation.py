@@ -71,6 +71,11 @@ class TestHitRate:
         with pytest.raises(ValueError):
             hit_rate([1.0, 0.0], [0.0], 0.5)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+            hit_rate([0.0, 10.0], [0.0, 10.0], tolerance)
+
     def test_symmetry_swaps_precision_and_recall(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

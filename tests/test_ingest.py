@@ -1,7 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ntdseg import ingest
 from ntdseg.decomposition import NtdConfig, NtdModel, NtdRanks, decompose
@@ -25,6 +28,52 @@ from ntdseg.ingest import (
 def make_chromagram(rng, n_frames=40, t0=0.0, t1=10.0):
     times = np.sort(rng.uniform(t0, t1, n_frames))
     return Chromagram(frame_times=times, values=rng.random((12, n_frames)))
+
+
+def tensorize_loop(chroma, bars, frames_per_bar=96):
+    """Per-bar, per-sub-interval reference for `tensorize`, one full-song mask per cell."""
+    n_pc = chroma.n_pitch_classes
+    out = np.zeros((n_pc, frames_per_bar, bars.n_bars))
+    times = chroma.frame_times
+    for b in range(bars.n_bars):
+        start, end = bars.downbeats[b], bars.downbeats[b + 1]
+        in_bar = (times >= start) & (times < end)
+        if not in_bar.any():
+            raise IngestError(f"bar {b} spanning [{start}, {end}) contains no chroma frames")
+        edges = start + (end - start) * np.arange(frames_per_bar + 1) / frames_per_bar
+        bins = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, frames_per_bar - 1)
+        for t in range(frames_per_bar):
+            members = in_bar & (bins == t)
+            if members.any():
+                out[:, t, b] = chroma.values[:, members].mean(axis=1)
+            else:
+                center = 0.5 * (edges[t] + edges[t + 1])
+                nearest = int(np.argmin(np.abs(times - center)))
+                out[:, t, b] = chroma.values[:, nearest]
+    return out
+
+
+@st.composite
+def dyadic_grids(draw):
+    """Frame times on a 2**-k s grid and downbeats on a 0.25 s grid.
+
+    Dyadic times land exactly on downbeats and on sub-interval edges, and
+    give exact ties between the two frames around an empty cell's center.
+    Frames run from 1 s before the first downbeat to 1 s after the last,
+    and on the finer grids a cell can hold hundreds of frames.
+    """
+    unit = 2.0 ** -draw(st.integers(0, 9))
+    beats = draw(st.lists(st.integers(0, 32), min_size=2, max_size=6, unique=True))
+    downbeats = 0.25 * np.array(sorted(beats), dtype=float)
+    ticks = np.arange(int((downbeats[0] - 1.0) / unit), int((downbeats[-1] + 1.0) / unit) + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_frames = min(draw(st.integers(1, 2000)), ticks.size)
+    times = unit * np.sort(rng.choice(ticks, n_frames, replace=False)).astype(float)
+    values = rng.random((draw(st.integers(1, 4)), n_frames))
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)  # the layout `load_chromagram` returns
+    chroma = Chromagram(frame_times=times, values=values)
+    return chroma, BarGrid(downbeats=downbeats), draw(st.integers(1, 16))
 
 
 class TestLoaders:
@@ -169,6 +218,76 @@ class TestTensorize:
         with pytest.raises(IngestError, match="bar 1"):
             tensorize(chroma, bars, frames_per_bar=2)
 
+    def test_non_integer_frames_per_bar_rejected(self):
+        chroma = make_chromagram(np.random.default_rng(10))
+        bars = BarGrid(downbeats=np.array([0.0, 5.0, 10.0]))
+        with pytest.raises(ValueError, match="frames_per_bar must be a positive integer"):
+            tensorize(chroma, bars, frames_per_bar=2.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=dyadic_grids())
+    @example(  # one frame
+        grid=(
+            Chromagram(frame_times=np.array([0.5]), values=np.array([[1.0], [2.0]])),
+            BarGrid(downbeats=np.array([0.0, 1.0])),
+            3,
+        )
+    )
+    @example(  # cells 1 and 2 are empty; frames 0.0 and 0.75 tie for cell 1's center 0.375
+        grid=(
+            Chromagram(frame_times=np.array([0.0, 0.75]), values=np.array([[1.0, 2.0], [3.0, 4.0]])),
+            BarGrid(downbeats=np.array([0.0, 1.0])),
+            4,
+        )
+    )
+    @example(  # frames outside the grid, on downbeats and on sub-interval edges
+        grid=(
+            Chromagram(
+                frame_times=np.array([-0.5, 0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 2.5]),
+                values=np.arange(16.0).reshape(2, 8),
+            ),
+            BarGrid(downbeats=np.array([0.0, 1.0, 2.0])),
+            4,
+        )
+    )
+    @example(  # the last computed edge rounds below the downbeat; a frame sits between them
+        grid=(
+            Chromagram(
+                frame_times=np.array([4.4, 4.4 + (7.29 - 4.4) * 3 / 3]),
+                values=np.array([[1.0, 2.0], [3.0, 4.0]]),
+            ),
+            BarGrid(downbeats=np.array([4.4, 7.29])),
+            3,
+        )
+    )
+    def test_matches_loop_oracle(self, grid):
+        chroma, bars, fpb = grid
+        try:
+            expected = tensorize_loop(chroma, bars, fpb)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as raised:
+                tensorize(chroma, bars, fpb)
+            assert str(raised.value) == str(exc)
+            return
+        tensor = tensorize(chroma, bars, fpb)
+        if chroma.n_pitch_classes == 1:
+            # numpy's mean sums a single row pairwise, the scatter add in frame order
+            np.testing.assert_allclose(tensor, expected, rtol=1e-12)
+        else:
+            assert np.array_equal(tensor, expected)
+
+    def test_long_song_scales(self):
+        # 400 two-second bars at 43 frames/s, off the 96-per-bar grid, so cells hold
+        # zero or one frame; the per-cell mask loop takes about 5 s on a 2-core VM
+        rng = np.random.default_rng(11)
+        times = (np.arange(800 * 43) + 0.5) / 43
+        chroma = Chromagram(frame_times=times, values=rng.random((12, times.size)))
+        bars = BarGrid(downbeats=2.0 * np.arange(401))
+        start = time.perf_counter()
+        tensor = tensorize(chroma, bars)
+        assert time.perf_counter() - start < 1.0
+        assert tensor.shape == (12, 96, 400)
+
 
 class TestSynthSong:
     def test_reference_boundaries_at_pattern_changes(self):
@@ -223,3 +342,15 @@ class TestSynthSong:
         chroma = tensor_to_chromagram(tensor, bars)
         back = tensorize(chroma, bars, frames_per_bar=6)
         np.testing.assert_array_equal(back, tensor)
+
+    def test_tensor_to_chromagram_matches_per_bar_formula(self):
+        rng = np.random.default_rng(12)
+        bars = BarGrid(downbeats=np.cumsum(rng.uniform(0.5, 3.0, 9)))
+        tensor = rng.random((3, 7, 8))
+        chroma = tensor_to_chromagram(tensor, bars)
+        for b in range(8):
+            start, end = bars.downbeats[b], bars.downbeats[b + 1]
+            width = (end - start) / 7
+            frames = slice(7 * b, 7 * (b + 1))
+            assert np.array_equal(chroma.frame_times[frames], start + width * (np.arange(7) + 0.5))
+            assert np.array_equal(chroma.values[:, frames], tensor[:, :, b])

@@ -99,6 +99,11 @@ class TestHalsNnls:
         with pytest.raises(ValueError):
             NnlsProblem(np.array([[np.nan]]), np.array([[1.0]]), 1.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_acceleration_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="acceleration_budget must be a positive finite"):
+            SolverConfig(acceleration_budget=budget)
+
 
 class TestCoreProxGradient:
     def test_identity_fixed_point(self):

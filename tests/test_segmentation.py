@@ -227,6 +227,19 @@ class TestSegment:
         seg = segment(np.ones((1, 1)), SegmentationConfig())
         assert seg.bar_boundaries == (0, 1)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_penalty_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="penalty_weight must be a nonnegative finite"):
+            SegmentationConfig(penalty_weight=weight)
+
+    def test_non_square_autosimilarity_rejected(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(5, 7\)"):
+            segment(np.ones((5, 7)))
+
+    def test_non_finite_autosimilarity_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            segment(np.full((6, 6), np.nan))
+
 
 class TestBoundaryTimes:
     def test_maps_to_downbeats(self):
