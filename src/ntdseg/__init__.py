@@ -43,7 +43,6 @@ from .segmentation import (
     SegmentationConfig,
     autosimilarity_from_features,
     boundaries_to_times,
-    make_kernel,
     modified_score,
     penalty,
     raw_score,

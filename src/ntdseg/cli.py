@@ -20,7 +20,6 @@ def _add_ntd_flags(parser: argparse.ArgumentParser) -> None:
                         help="optimize W instead of fixing it to the identity")
     parser.add_argument("--max-outer-iters", type=int, default=100)
     parser.add_argument("--outer-tolerance", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_segmentation_flags(parser: argparse.ArgumentParser) -> None:
@@ -81,17 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ntd_setup(args, n_pitch_classes: int) -> tuple[NtdRanks, NtdConfig]:
-    f_rank = args.f_rank if args.f_rank is not None else n_pitch_classes
-    ranks = NtdRanks(f_rank, args.t_rank, args.b_rank)
-    cfg = NtdConfig(
+def _ntd_config(args) -> NtdConfig:
+    return NtdConfig(
         max_outer_iters=args.max_outer_iters,
         outer_tolerance=args.outer_tolerance,
         fix_w_to_identity=not args.free_w,
-        seed=args.seed,
         inner=SolverConfig(),
     )
-    return ranks, cfg
+
+
+def _ranks(args, n_pitch_classes: int) -> NtdRanks:
+    f_rank = args.f_rank if args.f_rank is not None else n_pitch_classes
+    return NtdRanks(f_rank, args.t_rank, args.b_rank)
 
 
 def _seg_config(args) -> segmentation.SegmentationConfig:
@@ -109,18 +109,17 @@ def _load_tensor(args) -> tuple[np.ndarray, ingest.BarGrid]:
 
 
 def _cmd_decompose(args) -> None:
+    cfg = _ntd_config(args)
     x, _ = _load_tensor(args)
-    ranks, cfg = _ntd_setup(args, x.shape[0])
-    model = decompose(x, ranks, cfg)
+    model = decompose(x, _ranks(args, x.shape[0]), cfg)
     with open(args.out, "w") as fh:
         fh.write(model.to_json(cfg))
 
 
 def _cmd_segment(args) -> None:
+    cfg, seg_cfg = _ntd_config(args), _seg_config(args)
     x, bars = _load_tensor(args)
-    ranks, cfg = _ntd_setup(args, x.shape[0])
-    seg_cfg = _seg_config(args)
-    seg, _, autosim = evaluation.segment_song(x, bars, ranks, cfg, seg_cfg)
+    seg, _, autosim = evaluation.segment_song(x, bars, _ranks(args, x.shape[0]), cfg, seg_cfg)
     segmentation.save_segmentation(args.out, seg.boundary_times)
     if args.autosim_out:
         np.savetxt(args.autosim_out, autosim, delimiter="\t")
@@ -140,13 +139,11 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    cfg, seg_cfg = _ntd_config(args), _seg_config(args)
     x, bars = _load_tensor(args)
     reference = ingest.load_annotation(args.reference)
-    _, cfg = _ntd_setup(args, x.shape[0])
     grid = evaluation.default_rank_grid(args.rank_min, args.rank_max, args.rank_step)
-    sweep = evaluation.rank_sweep(
-        x, bars, reference, grid, cfg, _seg_config(args), tuple(args.tolerance)
-    )
+    sweep = evaluation.rank_sweep(x, bars, reference, grid, cfg, seg_cfg, tuple(args.tolerance))
     evaluation.write_sweep_report(args.out, sweep, tuple(args.tolerance))
 
 

@@ -34,8 +34,6 @@ class NtdConfig:
     max_outer_iters: int = 100
     outer_tolerance: float = 1e-8
     fix_w_to_identity: bool = False
-    seed: int = 0
-    perturb_init: bool = False
     inner: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -75,8 +73,6 @@ class NtdModel:
                 "max_outer_iters": config.max_outer_iters,
                 "outer_tolerance": config.outer_tolerance,
                 "fix_w_to_identity": config.fix_w_to_identity,
-                "seed": config.seed,
-                "perturb_init": config.perturb_init,
             }
         return json.dumps(doc)
 
@@ -112,13 +108,6 @@ def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> 
     w, h, q, core = truncated_hosvd(x, ranks.as_tuple(), nonnegative=True, skip_modes=skip)
     if cfg.fix_w_to_identity:
         w = np.eye(x.shape[0])
-    if cfg.perturb_init:
-        rng = np.random.default_rng(cfg.seed)
-        h = h + rng.uniform(0.0, 1e-10, h.shape)
-        q = q + rng.uniform(0.0, 1e-10, q.shape)
-        core = core + rng.uniform(0.0, 1e-10, core.shape)
-        if not cfg.fix_w_to_identity:
-            w = w + rng.uniform(0.0, 1e-10, w.shape)
     model = NtdModel(w=w, h=h, q=q, core=core, ranks=ranks, objective_trace=[])
     model.objective_trace.append(model.objective(x))
     return model

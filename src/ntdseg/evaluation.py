@@ -209,20 +209,22 @@ def fit_lambda(
         raise ValueError("lambda grid must be nonempty")
     lambda_grid = sorted(set(float(v) for v in lambda_grid))
 
-    # Decomposition does not depend on lambda: factor it out per song.
-    prepared = []
+    # Decomposition does not depend on lambda: fit each song once, then
+    # segment it once per lambda into a table of F values.
+    f_table = []
     for x, bars, reference in corpus:
-        model = decompose(x, ranks, ntd_cfg)
-        autosim = autosimilarity_from_features(model.q)
-        prepared.append((autosim, bars, reference.boundaries()))
+        autosim = autosimilarity_from_features(decompose(x, ranks, ntd_cfg).q)
+        ref_bounds = reference.boundaries()
+        row = {}
+        for lam in lambda_grid:
+            seg = boundaries_to_times(segment(autosim, replace(seg_cfg, penalty_weight=lam)), bars)
+            row[lam] = hit_rate(ref_bounds, list(seg.boundary_times), tolerance).f_measure
+        f_table.append(row)
 
     def mean_f(indices, lam: float) -> float:
         total = 0.0
         for i in indices:
-            autosim, bars, ref_bounds = prepared[i]
-            cfg = replace(seg_cfg, penalty_weight=lam)
-            seg = boundaries_to_times(segment(autosim, cfg), bars)
-            total += hit_rate(ref_bounds, list(seg.boundary_times), tolerance).f_measure
+            total += f_table[i][lam]
         return total / len(indices)
 
     even = [i for i in range(len(corpus)) if i % 2 == 0]

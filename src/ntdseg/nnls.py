@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,8 +58,8 @@ class SolverConfig:
     acceleration_budget: float = 0.5
 
     def __post_init__(self):
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be positive")
+        if not (isinstance(self.max_inner_iters, Integral) and self.max_inner_iters >= 1):
+            raise ValueError("max_inner_iters must be a positive integer")
         if not 0.0 <= self.inner_tolerance < 1.0:
             raise ValueError("inner_tolerance must lie in [0, 1)")
         if not (math.isfinite(self.acceleration_budget) and self.acceleration_budget > 0):

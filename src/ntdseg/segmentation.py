@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -17,10 +18,10 @@ class SegmentationConfig:
     def __post_init__(self):
         if not (np.isfinite(self.penalty_weight) and self.penalty_weight >= 0):
             raise ValueError("penalty_weight must be a nonnegative finite number")
-        if self.max_segment_bars < 2:
-            raise ValueError("max_segment_bars must be at least 2")
-        if self.kernel_band < 1:
-            raise ValueError("kernel_band must be positive")
+        if not (isinstance(self.max_segment_bars, Integral) and self.max_segment_bars >= 2):
+            raise ValueError("max_segment_bars must be an integer of at least 2")
+        if not (isinstance(self.kernel_band, Integral) and self.kernel_band >= 1):
+            raise ValueError("kernel_band must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,25 @@ def autosimilarity_from_features(features: np.ndarray) -> np.ndarray:
     return normalized @ normalized.T
 
 
-def make_kernel(n: int, band: int = 4) -> np.ndarray:
-    """Binary kernel with ones on the first `band` off-diagonals."""
-    if n < 2:
-        raise ValueError("kernel size must be at least 2")
-    offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return ((offsets >= 1) & (offsets <= band)).astype(float)
+def _band_scores(a: np.ndarray, band: int, longest: int) -> np.ndarray:
+    """Raw score of every segment of up to `longest` <= len(a) bars.
+
+    Entry [s, n - 1] is the kernel-weighted mean similarity of bars
+    [s, s + n), -inf where that segment runs past the last bar. A
+    segment's kernel sum is the sum of the segment one bar shorter plus
+    the pairs a[e, e - k] + a[e - k, e] of its new last bar e for
+    k = 1..min(band, n - 1), added in that order, so a block scores the
+    same to the bit wherever it sits in `a`.
+    """
+    size = a.shape[0]
+    sums = np.full((size, longest), -np.inf)
+    sums[:, 0] = 0.0
+    last_bar = np.zeros(size)  # pairs of bar e with the bars before it so far
+    for k in range(1, longest):
+        if k <= band:
+            last_bar[k:] += np.diagonal(a, -k) + np.diagonal(a, k)
+        sums[: size - k, k] = sums[: size - k, k - 1] + last_bar[k:]
+    return sums / np.arange(1, longest + 1)
 
 
 def raw_score(a: np.ndarray, b1: int, b2: int, band: int = 4) -> float:
@@ -58,14 +72,7 @@ def raw_score(a: np.ndarray, b1: int, b2: int, band: int = 4) -> float:
     size = a.shape[0]
     if not 0 <= b1 <= b2 < size:
         raise IndexError(f"segment ({b1}, {b2}) out of range for {size} bars")
-    n = b2 - b1 + 1
-    if n == 1:
-        return 0.0
-    sub = a[b1 : b2 + 1, b1 : b2 + 1]
-    total = 0.0
-    for d in range(1, min(band, n - 1) + 1):
-        total += float(np.trace(sub, offset=d)) + float(np.trace(sub, offset=-d))
-    return total / n
+    return float(_band_scores(a[b1 : b2 + 1, b1 : b2 + 1], band, b2 - b1 + 1)[0, -1])
 
 
 def penalty(n: int) -> float:
@@ -85,9 +92,8 @@ def penalty(n: int) -> float:
 def max_eight_bar_score(a: np.ndarray, band: int = 4) -> float:
     """Maximum raw score over all 8-bar windows (full-length windows when
     the piece is shorter than 8 bars)."""
-    size = a.shape[0]
-    window = min(8, size)
-    return max(raw_score(a, s, s + window - 1, band) for s in range(size - window + 1))
+    window = min(8, a.shape[0])
+    return float(_band_scores(a, band, window)[:, window - 1].max())
 
 
 def modified_score(
@@ -100,8 +106,8 @@ def modified_score(
 def segment(a: np.ndarray, cfg: SegmentationConfig = SegmentationConfig()) -> Segmentation:
     """Optimal contiguous partition of the bars by dynamic programming.
 
-    Maximizes the sum of modified segment scores over all partitions with
-    segments no longer than `max_segment_bars`. Ties prefer fewer
+    Maximizes the exact sum of modified segment scores over all partitions
+    with segments no longer than `max_segment_bars`. Ties prefer fewer
     segments, then the lexicographically smallest boundary sequence.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -111,33 +117,26 @@ def segment(a: np.ndarray, cfg: SegmentationConfig = SegmentationConfig()) -> Se
         raise ValueError("autosimilarity must cover at least one bar")
     if not np.isfinite(a).all():
         raise ValueError("autosimilarity has non-finite entries (NaN or inf)")
-    c_max8 = max_eight_bar_score(a, cfg.kernel_band)
-
-    # best[e]: (total score, segment count, boundary prefix) for bars [0, e)
-    best: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (size + 1)
-    best[0] = (0.0, 0, (0,))
+    longest = cfg.max_segment_bars
+    raw = _band_scores(a, cfg.kernel_band, min(size, max(8, longest)))
+    c_max8 = raw[:, min(8, size) - 1].max()
+    penalties = np.array([penalty(n) for n in range(1, raw.shape[1] + 1)])
+    scores = raw - cfg.penalty_weight * penalties * c_max8
+    # Totals are exact: each score is an integer count of the smallest power
+    # of two among them, so partitions tie exactly when their scores do.
+    mantissa, exponent = np.frexp(np.where(np.isfinite(scores), scores, 0.0))
+    mantissa = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+    units = (mantissa << (exponent - exponent.min())).tolist()
+    # totals[e], bounds[e]: best partition of bars [0, e)
+    totals, bounds = [0], [(0,)]
     for end in range(1, size + 1):
-        chosen = None
-        for start in range(max(0, end - cfg.max_segment_bars), end):
-            prev = best[start]
-            if prev is None:
-                continue
-            total = prev[0] + modified_score(a, start, end - 1, cfg, c_max8)
-            candidate = (total, prev[1] + 1, prev[2] + (end,))
-            if (
-                chosen is None
-                or candidate[0] > chosen[0]
-                or (candidate[0] == chosen[0] and candidate[1] < chosen[1])
-                or (
-                    candidate[0] == chosen[0]
-                    and candidate[1] == chosen[1]
-                    and candidate[2] < chosen[2]
-                )
-            ):
-                chosen = candidate
-        best[end] = chosen
-    assert best[size] is not None
-    return Segmentation(bar_boundaries=best[size][2])
+        start = min(
+            range(max(0, end - longest), end),
+            key=lambda s: (-(totals[s] + units[s][end - s - 1]), len(bounds[s]), bounds[s]),
+        )
+        totals.append(totals[start] + units[start][end - start - 1])
+        bounds.append(bounds[start] + (end,))
+    return Segmentation(bar_boundaries=bounds[size])
 
 
 def boundaries_to_times(seg: Segmentation, bars: BarGrid) -> Segmentation:

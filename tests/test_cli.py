@@ -112,6 +112,16 @@ def test_nan_lambda_rejected(tmp_path, capsys):
     assert not (tmp_path / "est.txt").exists()
 
 
+def test_bad_config_reported_before_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    code = run(
+        "segment", "--chroma", missing, "--bars", missing, "--lambda", "nan",
+        "--out", str(tmp_path / "est.txt"),
+    )
+    assert code == 1
+    assert "penalty_weight must be a nonnegative finite number" in capsys.readouterr().err
+
+
 def test_autosim_output(tmp_path):
     prefix = tmp_path / "song"
     assert run(*synth_args(prefix)) == 0

@@ -121,7 +121,7 @@ class TestDecompose:
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         x = rng.random((6, 7, 8))
-        cfg = NtdConfig(max_outer_iters=10, seed=3, perturb_init=True)
+        cfg = NtdConfig(max_outer_iters=10)
         a = decompose(x, NtdRanks(3, 3, 3), cfg)
         b = decompose(x, NtdRanks(3, 3, 3), cfg)
         for lhs, rhs in zip(

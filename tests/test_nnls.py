@@ -104,6 +104,10 @@ class TestHalsNnls:
         with pytest.raises(ValueError, match="acceleration_budget must be a positive finite"):
             SolverConfig(acceleration_budget=budget)
 
+    def test_non_integer_max_inner_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_inner_iters must be a positive integer"):
+            SolverConfig(max_inner_iters=2.5)
+
 
 class TestCoreProxGradient:
     def test_identity_fixed_point(self):

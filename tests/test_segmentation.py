@@ -1,13 +1,18 @@
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ntdseg.ingest import BarGrid, load_annotation
 from ntdseg.segmentation import (
     Segmentation,
     SegmentationConfig,
+    _band_scores,
     autosimilarity_from_features,
     boundaries_to_times,
-    make_kernel,
     max_eight_bar_score,
     modified_score,
     penalty,
@@ -17,21 +22,53 @@ from ntdseg.segmentation import (
 )
 
 
-def enumerate_best_total(a, cfg):
-    """Exhaustive search over every contiguous partition of the bars."""
+def partitions(a, cfg):
+    """Every contiguous partition of the bars with segments no longer than
+    `max_segment_bars`, with the modified score of each of its segments."""
     size = a.shape[0]
     c_max8 = max_eight_bar_score(a, cfg.kernel_band)
-    best = -np.inf
+    scores = {
+        (s, e): modified_score(a, s, e - 1, cfg, c_max8)
+        for s in range(size)
+        for e in range(s + 1, size + 1)
+    }
     for mask in range(2 ** (size - 1)):
-        boundaries = [0] + [i + 1 for i in range(size - 1) if mask >> i & 1] + [size]
-        lengths = np.diff(boundaries)
-        if lengths.max() > cfg.max_segment_bars:
-            continue
+        boundaries = (0,) + tuple(i + 1 for i in range(size - 1) if mask >> i & 1) + (size,)
+        if max(np.diff(boundaries)) <= cfg.max_segment_bars:
+            yield boundaries, [scores[s, e] for s, e in zip(boundaries[:-1], boundaries[1:])]
+
+
+def enumerate_best_total(a, cfg):
+    """Exhaustive search over every contiguous partition of the bars."""
+    best = -np.inf
+    for _, scores in partitions(a, cfg):
         total = 0.0
-        for s, e in zip(boundaries[:-1], boundaries[1:]):
-            total = total + modified_score(a, s, e - 1, cfg, c_max8)
+        for score in scores:
+            total = total + score
         best = max(best, total)
     return best
+
+
+def best_partition(a, cfg):
+    """The winning partition under the documented order: highest exact sum
+    of the segment scores, then fewest segments, then the lexicographically
+    smallest boundaries."""
+    return min(
+        partitions(a, cfg), key=lambda p: (-sum(map(Fraction, p[1])), len(p[0]), p[0])
+    )[0]
+
+
+def make_kernel(n, band):
+    """Binary kernel with ones on the first `band` off-diagonals."""
+    offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return ((offsets >= 1) & (offsets <= band)).astype(float)
+
+
+def kernel_score(a, b1, b2, band):
+    """The paper's raw score: the kernel-weighted sum over the segment's
+    block of `a`, divided by the segment length."""
+    n = b2 - b1 + 1
+    return np.sum(make_kernel(n, band) * a[b1 : b2 + 1, b1 : b2 + 1]) / n
 
 
 def dp_total(a, cfg, seg):
@@ -88,21 +125,47 @@ class TestAutosimilarity:
         assert a[0, 0] == 0.0 and a[0, 1] == 0.0
 
 
-class TestKernel:
-    def test_size_ten_band_four(self):
-        k = make_kernel(10, 4)
-        assert k.sum() == 60  # 2 * (9 + 8 + 7 + 6)
-        for i in range(10):
-            for j in range(10):
-                assert k[i, j] == (1.0 if 1 <= abs(i - j) <= 4 else 0.0)
+class TestBandScores:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(1, 40),
+        band=st.integers(1, 8),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_kernel_oracle(self, size, band, symmetric, seed):
+        a = np.random.default_rng(seed).random((size, size))
+        if symmetric:
+            a = 0.5 * (a + a.T)
+        table = _band_scores(a, band, size)
+        for b1 in range(size):
+            expected = [kernel_score(a, b1, b2, band) for b2 in range(b1, size)]
+            got = [raw_score(a, b1, b2, band) for b2 in range(b1, size)]
+            np.testing.assert_allclose(table[b1, : size - b1], expected, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+            assert np.all(np.isneginf(table[b1, size - b1 :]))
 
-    def test_size_two(self):
-        np.testing.assert_array_equal(make_kernel(2, 4), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_zero_diagonal(self):
-        for n in (2, 5, 9):
-            for band in (1, 3, 4):
-                assert np.all(np.diag(make_kernel(n, band)) == 0.0)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        size=st.integers(1, 20),
+        band=st.integers(1, 8),
+        offset=st.integers(1, 10),
+        seed=st.integers(0, 10_000),
+    )
+    def test_block_scores_bit_identical_at_any_offset(self, size, band, offset, seed):
+        rng = np.random.default_rng(seed)
+        block = rng.random((size, size))
+        here = rng.random((size + offset, size + offset))
+        there = rng.random((size + offset, size + offset))
+        here[:size, :size] = block
+        there[offset:, offset:] = block
+        inside = np.arange(size)[:, None] + np.arange(size)[None, :] < size
+        assert np.array_equal(
+            _band_scores(here, band, size)[:size][inside],
+            _band_scores(there, band, size)[offset:][inside],
+        )
+        last = size - 1
+        assert raw_score(here, 0, last, band) == raw_score(there, offset, offset + last, band)
 
 
 class TestRawScore:
@@ -226,6 +289,50 @@ class TestSegment:
     def test_single_bar(self):
         seg = segment(np.ones((1, 1)), SegmentationConfig())
         assert seg.bar_boundaries == (0, 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        size=st.integers(1, 10),
+        band=st.integers(1, 5),
+        max_segment_bars=st.integers(2, 9),
+        penalty_weight=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    # float sums of the scores break these exact ties the wrong way
+    @example(size=7, band=1, max_segment_bars=2, penalty_weight=1.0, symmetric=False, seed=28)
+    @example(size=10, band=5, max_segment_bars=3, penalty_weight=0.0, symmetric=False, seed=594)
+    def test_tie_break_matches_exhaustive_partition(
+        self, size, band, max_segment_bars, penalty_weight, symmetric, seed
+    ):
+        # entries in {0, 0.5, 1} make exact ties between partitions common
+        a = np.random.default_rng(seed).integers(0, 3, (size, size)) / 2.0
+        if symmetric:
+            a = np.triu(a) + np.triu(a, 1).T
+        cfg = SegmentationConfig(
+            penalty_weight=penalty_weight, max_segment_bars=max_segment_bars, kernel_band=band
+        )
+        assert segment(a, cfg).bar_boundaries == best_partition(a, cfg)
+
+    def test_long_song_scales(self):
+        # 400 bars with 32-bar segments: per-candidate trace calls took 0.4-0.6 s
+        # on a 2-core VM
+        a = autosimilarity_from_features(np.random.default_rng(12).random((400, 10)))
+        start = time.perf_counter()
+        seg = segment(a, SegmentationConfig(max_segment_bars=32))
+        assert time.perf_counter() - start < 0.15
+        assert seg.bar_boundaries[0] == 0 and seg.bar_boundaries[-1] == 400
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("kernel_band", "kernel_band must be a positive integer"),
+            ("max_segment_bars", "max_segment_bars must be an integer of at least 2"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SegmentationConfig(**{field: 4.5})
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_penalty_weight_rejected(self, weight):
