@@ -3,11 +3,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .nnls import NnlsProblem, SolverConfig, core_prox_gradient, hals_nnls
-from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd
+from .tensor_ops import (
+    _is_identity,
+    frobenius_norm,
+    mode_product,
+    reconstruct,
+    truncated_hosvd,
+)
 
 
 @dataclass(frozen=True)
@@ -17,8 +24,10 @@ class NtdRanks:
     b_rank: int
 
     def __post_init__(self):
-        if min(self.f_rank, self.t_rank, self.b_rank) < 1:
-            raise ValueError("ranks must be positive")
+        for name in ("f_rank", "t_rank", "b_rank"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.f_rank, self.t_rank, self.b_rank)
@@ -37,8 +46,8 @@ class NtdConfig:
     inner: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.max_outer_iters < 0:
-            raise ValueError("max_outer_iters must be nonnegative")
+        if not (isinstance(self.max_outer_iters, Integral) and self.max_outer_iters >= 0):
+            raise ValueError("max_outer_iters must be a nonnegative integer")
         if not 0.0 <= self.outer_tolerance < 1.0:
             raise ValueError("outer_tolerance must lie in [0, 1)")
 
@@ -125,6 +134,12 @@ def _factor_problem(
     projected = x
     core_image = core
     for i in others:
+        if i == 0 and _is_identity(factors[0]):
+            # The products by W = I and by its Gram (also I) are skipped; x
+            # is made C-ordered float, as the product would have made it, so
+            # the next product runs on the same layout.
+            projected = np.ascontiguousarray(x, dtype=float)
+            continue
         projected = mode_product(projected, factors[i].T, i)
         core_image = mode_product(core_image, factors[i].T @ factors[i], i)
     gram = np.tensordot(core, core_image, axes=(others, others))
@@ -166,6 +181,10 @@ def decompose(
     if init is not None:
         ranks.validate_for(x.shape)
         _check_init(init, x.shape, ranks)
+        if cfg.fix_w_to_identity and not _is_identity(init.w):
+            raise ValueError(
+                f"fix_w_to_identity requires init w to be the {x.shape[0]}x{x.shape[0]} identity"
+            )
         model = NtdModel(
             w=init.w.copy(), h=init.h.copy(), q=init.q.copy(),
             core=init.core.copy(), ranks=ranks, objective_trace=[],

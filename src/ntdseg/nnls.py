@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .tensor_ops import mode_product
+from .tensor_ops import _is_identity
 
 _ZERO_COLUMN_EPS = 1e-12
 
@@ -86,21 +86,33 @@ def hals_nnls(
     max_sweeps = min(
         cfg.max_inner_iters, max(1, math.ceil(cfg.acceleration_budget * (1 + r)))
     )
+    # Per-row views, built once: Gram diagonal entry, Gram row, cross row and
+    # the row of z that the update overwrites. A row with no positive
+    # diagonal entry is never updated.
+    rows = [
+        row
+        for row in zip(problem.gram.diagonal().tolist(), problem.gram, problem.cross, z)
+        if row[0] > 0.0
+    ]
+    new = np.empty(z.shape[1])
+    change = np.empty(z.shape[1])
     first_delta = None
     for _ in range(max_sweeps):
         delta = 0.0
-        for j in range(r):
-            denom = problem.gram[j, j]
-            if denom <= 0.0:
-                continue
-            row = np.maximum(
-                0.0, z[j] + (problem.cross[j] - problem.gram[j] @ z) / denom
-            )
-            if not row.any():
+        for denom, gram_row, cross_row, z_row in rows:
+            # new = max(0, z_row + (cross_row - gram_row @ z) / denom)
+            np.matmul(gram_row, z, out=new)
+            np.subtract(cross_row, new, out=new)
+            np.divide(new, denom, out=new)
+            np.add(z_row, new, out=new)
+            np.maximum(0.0, new, out=new)
+            if not np.logical_or.reduce(new):
                 # Keep a degenerate component alive at negligible scale.
-                row = np.full_like(row, _ZERO_COLUMN_EPS * z[j].max())
-            delta += float(np.sum((row - z[j]) ** 2))
-            z[j] = row
+                new.fill(_ZERO_COLUMN_EPS * np.maximum.reduce(z_row))
+            np.subtract(new, z_row, out=change)
+            np.multiply(change, change, out=change)
+            delta += float(np.add.reduce(change))
+            z_row[...] = new
         delta = math.sqrt(delta)
         if first_delta is None:
             first_delta = delta
@@ -140,31 +152,50 @@ def core_prox_gradient(
     if x.shape != (w.shape[0], h.shape[0], q.shape[0]):
         raise ValueError("tensor shape does not match factor rows")
 
-    grams = _factor_grams(w, h, q)
+    gram_w, gram_h, gram_q = grams = _factor_grams(w, h, q)
     lipschitz = _core_lipschitz(grams)
     if lipschitz <= 0.0:
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
     step = 1.0 / lipschitz
 
-    cross = mode_product(mode_product(mode_product(x, w.T, 0), h.T, 1), q.T, 2)
+    # Mode products as direct matmuls on the shapes checked above; the
+    # mode-0 product is skipped when W is exactly the identity.
+    skip_w = _is_identity(w)
+    if skip_w:
+        projected = np.ascontiguousarray(x, dtype=float)
+    else:
+        projected = (w.T @ x.reshape(x.shape[0], -1)).reshape(expected[:1] + x.shape[1:])
+    cross = (h.T @ projected) @ q
     x_sq = float(np.sum(x * x))
 
-    def gram_image(g):
-        out = mode_product(g, grams[0], 0)
-        out = mode_product(out, grams[1], 1)
-        return mode_product(out, grams[2], 2)
+    partial = np.empty(expected)
+    product = np.empty(expected)
 
-    g = np.maximum(np.asarray(g0, dtype=float), 0.0)
-    image = gram_image(g)
-    obj = x_sq - 2.0 * float(np.sum(cross * g)) + float(np.sum(g * image))
+    def gram_image(g, out):
+        if not skip_w:
+            g = (gram_w @ g.reshape(expected[0], -1)).reshape(expected)
+        np.matmul(gram_h, g, out=partial)
+        return np.matmul(partial, gram_q.T, out=out)
+
+    def objective(g, image):
+        cross_term = float(np.add.reduce(np.multiply(cross, g, out=product), axis=None))
+        image_term = float(np.add.reduce(np.multiply(g, image, out=product), axis=None))
+        return x_sq - 2.0 * cross_term + image_term
+
+    g = np.maximum(np.asarray(g0, dtype=float), 0.0, out=np.empty(expected))
+    g_next = np.empty(expected)
+    image = gram_image(g, np.empty(expected))
+    obj = objective(g, image)
     for _ in range(cfg.max_inner_iters):
-        g_next = np.maximum(0.0, g - step * (image - cross))
-        image = gram_image(g_next)
-        obj_next = x_sq - 2.0 * float(np.sum(cross * g_next)) + float(
-            np.sum(g_next * image)
-        )
+        # g_next = max(0, g - step * (image - cross))
+        np.subtract(image, cross, out=g_next)
+        np.multiply(step, g_next, out=g_next)
+        np.subtract(g, g_next, out=g_next)
+        np.maximum(0.0, g_next, out=g_next)
+        gram_image(g_next, image)
+        obj_next = objective(g_next, image)
         improvement = obj - obj_next
-        g, obj = g_next, obj_next
+        g, g_next, obj = g_next, g, obj_next
         if improvement <= cfg.inner_tolerance * max(abs(obj), 1e-300):
             break
     return g

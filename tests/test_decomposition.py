@@ -67,7 +67,25 @@ class TestInitialize:
             initialize(np.ones((4, 5, 6)), NtdRanks(5, 2, 2))
 
 
+class TestNtdRanks:
+    @pytest.mark.parametrize(
+        "ranks, field",
+        [((4.0, 2, 2), "f_rank"), ((4, 2.5, 2), "t_rank"), ((4, 2, "2"), "b_rank"),
+         ((4, 2, 0), "b_rank")],
+    )
+    def test_non_integer_or_non_positive_rank_rejected(self, ranks, field):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            NtdRanks(*ranks)
+
+    def test_numpy_integers_accepted(self):
+        assert NtdRanks(np.int64(4), 2, 2).as_tuple() == (4, 2, 2)
+
+
 class TestNtdConfig:
+    def test_non_integer_max_outer_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_outer_iters must be a nonnegative integer"):
+            NtdConfig(max_outer_iters=2.5)
+
     def test_negative_max_outer_iters_rejected(self):
         with pytest.raises(ValueError, match="max_outer_iters"):
             NtdConfig(max_outer_iters=-1)
@@ -176,6 +194,26 @@ class TestDecompose:
         init.w[0, 0] = np.nan
         with pytest.raises(ValueError, match="init w has non-finite"):
             decompose(x, init.ranks, init=init)
+
+    @pytest.mark.parametrize("w_shape", [(4, 3), (4, 4)])
+    def test_fixed_identity_w_rejects_non_identity_init(self, w_shape):
+        rng = np.random.default_rng(15)
+        init = random_model(rng, dims=(4, 5, 6), ranks=(w_shape[1], 2, 2))
+        with pytest.raises(ValueError, match="requires init w to be the 4x4 identity"):
+            decompose(
+                rng.random((4, 5, 6)), init.ranks,
+                NtdConfig(fix_w_to_identity=True, max_outer_iters=2), init=init,
+            )
+
+    def test_fixed_identity_w_accepts_identity_init(self):
+        rng = np.random.default_rng(16)
+        init = random_model(rng, dims=(4, 5, 6), ranks=(4, 2, 2))
+        init.w = np.eye(4)
+        model = decompose(
+            rng.random((4, 5, 6)), init.ranks,
+            NtdConfig(fix_w_to_identity=True, max_outer_iters=2), init=init,
+        )
+        assert np.array_equal(model.w, np.eye(4))
 
     def test_membership_recovery_on_separated_patterns(self):
         # well-separated bar patterns: argmax rows of q map onto the true

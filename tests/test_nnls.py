@@ -1,8 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ntdseg import decomposition
+from ntdseg.decomposition import NtdConfig, NtdRanks, decompose
 from ntdseg.nnls import NnlsProblem, SolverConfig, core_prox_gradient, hals_nnls
 from ntdseg.tensor_ops import mode_product, reconstruct
 
@@ -33,6 +38,114 @@ def active_set_oracle(problem: NnlsProblem) -> np.ndarray:
                     best_col[s] = sol
         z[:, col] = best_col
     return z
+
+
+def hals_nnls_loop(
+    problem: NnlsProblem, z0: np.ndarray, cfg: SolverConfig = SolverConfig()
+) -> np.ndarray:
+    """Oracle: the HALS row loop written with one fresh array per step."""
+    z = np.array(z0, dtype=float)
+    if z.shape != problem.cross.shape:
+        raise ValueError(f"z0 shape {z.shape} does not match cross shape {problem.cross.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite entries in z0")
+
+    r = problem.gram.shape[0]
+    max_sweeps = min(
+        cfg.max_inner_iters, max(1, math.ceil(cfg.acceleration_budget * (1 + r)))
+    )
+    first_delta = None
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(r):
+            denom = problem.gram[j, j]
+            if denom <= 0.0:
+                continue
+            row = np.maximum(
+                0.0, z[j] + (problem.cross[j] - problem.gram[j] @ z) / denom
+            )
+            if not row.any():
+                # Keep a degenerate component alive at negligible scale.
+                row = np.full_like(row, 1e-12 * z[j].max())
+            delta += float(np.sum((row - z[j]) ** 2))
+            z[j] = row
+        delta = math.sqrt(delta)
+        if first_delta is None:
+            first_delta = delta
+        if delta <= cfg.inner_tolerance * first_delta:
+            break
+    return z
+
+
+def core_prox_gradient_loop(
+    x: np.ndarray,
+    w: np.ndarray,
+    h: np.ndarray,
+    q: np.ndarray,
+    g0: np.ndarray,
+    cfg: SolverConfig = SolverConfig(),
+) -> np.ndarray:
+    """Oracle: the projected gradient core loop with three checked mode
+    products per Gram image, W included even when it is the identity."""
+    expected = (w.shape[1], h.shape[1], q.shape[1])
+    if g0.shape != expected:
+        raise ValueError(f"core shape {g0.shape} does not match factor ranks {expected}")
+    if x.shape != (w.shape[0], h.shape[0], q.shape[0]):
+        raise ValueError("tensor shape does not match factor rows")
+
+    grams = (w.T @ w, h.T @ h, q.T @ q)
+    lipschitz = 1.0
+    for gram in grams:
+        lipschitz *= float(np.linalg.eigvalsh(gram)[-1])
+    if lipschitz <= 0.0:
+        raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
+    step = 1.0 / lipschitz
+
+    cross = mode_product(mode_product(mode_product(x, w.T, 0), h.T, 1), q.T, 2)
+    x_sq = float(np.sum(x * x))
+
+    def gram_image(g):
+        out = mode_product(g, grams[0], 0)
+        out = mode_product(out, grams[1], 1)
+        return mode_product(out, grams[2], 2)
+
+    g = np.maximum(np.asarray(g0, dtype=float), 0.0)
+    image = gram_image(g)
+    obj = x_sq - 2.0 * float(np.sum(cross * g)) + float(np.sum(g * image))
+    for _ in range(cfg.max_inner_iters):
+        g_next = np.maximum(0.0, g - step * (image - cross))
+        image = gram_image(g_next)
+        obj_next = x_sq - 2.0 * float(np.sum(cross * g_next)) + float(
+            np.sum(g_next * image)
+        )
+        improvement = obj - obj_next
+        g, obj = g_next, obj_next
+        if improvement <= cfg.inner_tolerance * max(abs(obj), 1e-300):
+            break
+    return g
+
+
+def factor_problem_products(x, core, factors, mode, x_sq):
+    """Oracle: the factor subproblem with every product taken, W = I included."""
+    others = tuple(i for i in range(3) if i != mode)
+    projected = x
+    core_image = core
+    for i in others:
+        projected = mode_product(projected, factors[i].T, i)
+        core_image = mode_product(core_image, factors[i].T @ factors[i], i)
+    gram = np.tensordot(core, core_image, axes=(others, others))
+    cross = np.tensordot(core, projected, axes=(others, others))
+    return NnlsProblem(gram=gram, cross=cross, scale=x_sq)
+
+
+def reconstruct_products(core, w, h, q):
+    return mode_product(mode_product(mode_product(core, w, 0), h, 1), q, 2)
+
+
+def assert_same_bits(fast, slow):
+    assert fast.shape == slow.shape and fast.dtype == slow.dtype
+    assert np.array_equal(fast, slow)
+    assert fast.tobytes() == slow.tobytes()  # also the sign of every zero
 
 
 def random_problem(rng, r=None, rows=6, cols=3):
@@ -177,3 +290,91 @@ class TestCoreProxGradient:
                 x, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)),
                 np.zeros((1, 1, 1)), TIGHT,
             )
+
+
+class TestFastLoopsMatchOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.integers(1, 48),
+        cols=st.integers(1, 40),
+        zero_diagonal=st.booleans(),
+        dead_rows=st.booleans(),
+        transposed=st.booleans(),
+        tolerance=st.sampled_from([0.0, 0.5, 1e-8]),
+        budget=st.sampled_from([0.5, 4.0]),
+        iters=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hals(self, r, cols, zero_diagonal, dead_rows, transposed, tolerance, budget,
+                  iters, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((r + 2, r))
+        if zero_diagonal:
+            a[:, rng.integers(r)] = 0.0  # zero Gram row, column and diagonal entry
+        gram = a.T @ a
+        cross = a.T @ (rng.random((r + 2, cols)) - 0.3)
+        z0 = rng.random((cols, r)).T if transposed else rng.random((r, cols))
+        if dead_rows:
+            # these rows update to all zeros: the refill keeps a nonzero row
+            # alive at 1e-12 of its maximum and leaves a zero row at zero
+            dead = rng.random(r) < 0.4
+            cross[dead] = -10.0 * (1.0 + np.abs(cross[dead]))
+            z0[dead & (rng.random(r) < 0.5)] = 0.0
+        problem = NnlsProblem(gram, cross, 1.0)
+        cfg = SolverConfig(max_inner_iters=iters, inner_tolerance=tolerance,
+                           acceleration_budget=budget)
+        assert_same_bits(hals_nnls(problem, z0, cfg), hals_nnls_loop(problem, z0, cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 48), st.integers(1, 48)),
+        w_kind=st.sampled_from(["identity", "general", "near_identity"]),
+        zero_first=st.booleans(),
+        fortran=st.booleans(),
+        tolerance=st.sampled_from([0.0, 0.5, 1e-8]),
+        iters=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_core(self, dims, w_kind, zero_first, fortran, tolerance, iters, seed):
+        rng = np.random.default_rng(seed)
+        f, t, b = dims
+        ranks = (
+            f if w_kind != "general" else int(rng.integers(1, f + 1)),
+            int(rng.integers(1, t + 1)),
+            int(rng.integers(1, b + 1)),
+        )
+        if w_kind == "general":
+            w = rng.random((f, ranks[0]))
+        else:
+            w = np.eye(f)
+            if w_kind == "near_identity":
+                w[-1, 0] += 1e-300  # no longer exactly I (for f > 1)
+        h, q = rng.random((t, ranks[1])), rng.random((b, ranks[2]))
+        x = rng.random(dims) * (rng.random(dims) < 0.8)
+        g0 = rng.random(ranks) * (rng.random(ranks) < 0.7)
+        if zero_first:
+            # a 1e-300 entry of W then leaves tiny nonzeros in an all-zero slice
+            x[0], g0[0] = 0.0, 0.0
+        if fortran:
+            x, g0 = np.asfortranarray(x), np.asfortranarray(g0)
+        cfg = SolverConfig(max_inner_iters=iters, inner_tolerance=tolerance)
+        assert_same_bits(
+            core_prox_gradient(x, w, h, q, g0, cfg),
+            core_prox_gradient_loop(x, w, h, q, g0, cfg),
+        )
+
+    @pytest.mark.parametrize("fix_w", [False, True])
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran"])
+    def test_whole_decompose(self, monkeypatch, fix_w, layout):
+        rng = np.random.default_rng(20)
+        x = rng.random((12, 16, 20)) * (rng.random((12, 16, 20)) < 0.9)
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        ranks = NtdRanks(12 if fix_w else 5, 6, 9)
+        cfg = NtdConfig(max_outer_iters=8, fix_w_to_identity=fix_w)
+        fast = decompose(x, ranks, cfg).to_json(cfg)
+        monkeypatch.setattr(decomposition, "hals_nnls", hals_nnls_loop)
+        monkeypatch.setattr(decomposition, "core_prox_gradient", core_prox_gradient_loop)
+        monkeypatch.setattr(decomposition, "_factor_problem", factor_problem_products)
+        monkeypatch.setattr(decomposition, "reconstruct", reconstruct_products)
+        assert decompose(x, ranks, cfg).to_json(cfg) == fast
