@@ -8,13 +8,7 @@ from numbers import Integral
 import numpy as np
 
 from .nnls import NnlsProblem, SolverConfig, core_prox_gradient, hals_nnls
-from .tensor_ops import (
-    _is_identity,
-    frobenius_norm,
-    mode_product,
-    reconstruct,
-    truncated_hosvd,
-)
+from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd
 
 
 @dataclass(frozen=True)
@@ -134,12 +128,6 @@ def _factor_problem(
     projected = x
     core_image = core
     for i in others:
-        if i == 0 and _is_identity(factors[0]):
-            # The products by W = I and by its Gram (also I) are skipped; x
-            # is made C-ordered float, as the product would have made it, so
-            # the next product runs on the same layout.
-            projected = np.ascontiguousarray(x, dtype=float)
-            continue
         projected = mode_product(projected, factors[i].T, i)
         core_image = mode_product(core_image, factors[i].T @ factors[i], i)
     gram = np.tensordot(core, core_image, axes=(others, others))
@@ -181,7 +169,7 @@ def decompose(
     if init is not None:
         ranks.validate_for(x.shape)
         _check_init(init, x.shape, ranks)
-        if cfg.fix_w_to_identity and not _is_identity(init.w):
+        if cfg.fix_w_to_identity and not np.array_equal(init.w, np.eye(x.shape[0])):
             raise ValueError(
                 f"fix_w_to_identity requires init w to be the {x.shape[0]}x{x.shape[0]} identity"
             )

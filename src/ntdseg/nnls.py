@@ -13,8 +13,6 @@ from numbers import Integral
 
 import numpy as np
 
-from .tensor_ops import _is_identity
-
 _ZERO_COLUMN_EPS = 1e-12
 
 
@@ -158,13 +156,8 @@ def core_prox_gradient(
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
     step = 1.0 / lipschitz
 
-    # Mode products as direct matmuls on the shapes checked above; the
-    # mode-0 product is skipped when W is exactly the identity.
-    skip_w = _is_identity(w)
-    if skip_w:
-        projected = np.ascontiguousarray(x, dtype=float)
-    else:
-        projected = (w.T @ x.reshape(x.shape[0], -1)).reshape(expected[:1] + x.shape[1:])
+    # Mode products as direct matmuls on the shapes checked above.
+    projected = (w.T @ x.reshape(x.shape[0], -1)).reshape(expected[:1] + x.shape[1:])
     cross = (h.T @ projected) @ q
     x_sq = float(np.sum(x * x))
 
@@ -172,8 +165,7 @@ def core_prox_gradient(
     product = np.empty(expected)
 
     def gram_image(g, out):
-        if not skip_w:
-            g = (gram_w @ g.reshape(expected[0], -1)).reshape(expected)
+        g = (gram_w @ g.reshape(expected[0], -1)).reshape(expected)
         np.matmul(gram_h, g, out=partial)
         return np.matmul(partial, gram_q.T, out=out)
 

@@ -9,19 +9,6 @@ def _check_mode(mode: int) -> None:
         raise ValueError(f"mode must be 0, 1 or 2, got {mode}")
 
 
-def _is_identity(matrix: np.ndarray) -> bool:
-    """Whether `matrix` is exactly a square identity.
-
-    A mode product by such a matrix returns its tensor unchanged (for finite
-    entries, up to the sign of a zero), so callers may skip it.
-    """
-    return (
-        matrix.ndim == 2
-        and matrix.shape[0] == matrix.shape[1]
-        and np.array_equal(matrix, np.eye(matrix.shape[0]))
-    )
-
-
 def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Contract `matrix` with `tensor` along `mode` (the n-mode product)."""
     _check_mode(mode)
@@ -44,10 +31,7 @@ def reconstruct(
     core: np.ndarray, w: np.ndarray, h: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
     """Expand a core tensor through one factor matrix per mode."""
-    if _is_identity(w) and core.ndim == 3 and core.shape[0] == w.shape[0]:
-        out = np.ascontiguousarray(core, dtype=float)
-    else:
-        out = mode_product(core, w, 0)
+    out = mode_product(core, w, 0)
     out = mode_product(out, h, 1)
     return mode_product(out, q, 2)
 
@@ -91,12 +75,9 @@ def truncated_hosvd(
         fibers = np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
         u, _, _ = np.linalg.svd(fibers, full_matrices=False)
         factors.append(u[:, : ranks[mode]])
-    # A fresh C-ordered copy: with a skipped mode nothing multiplies it, and
-    # the returned core must not alias `tensor`.
-    core = np.array(tensor, dtype=float, order="C")
+    core = tensor
     for mode, factor in enumerate(factors):
-        if mode not in skip_modes:
-            core = mode_product(core, factor.T, mode)
+        core = mode_product(core, factor.T, mode)
     if nonnegative:
         factors = [np.abs(f) for f in factors]
         core = np.abs(core)

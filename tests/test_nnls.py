@@ -86,7 +86,7 @@ def core_prox_gradient_loop(
     cfg: SolverConfig = SolverConfig(),
 ) -> np.ndarray:
     """Oracle: the projected gradient core loop with three checked mode
-    products per Gram image, W included even when it is the identity."""
+    products per Gram image."""
     expected = (w.shape[1], h.shape[1], q.shape[1])
     if g0.shape != expected:
         raise ValueError(f"core shape {g0.shape} does not match factor ranks {expected}")
@@ -123,23 +123,6 @@ def core_prox_gradient_loop(
         if improvement <= cfg.inner_tolerance * max(abs(obj), 1e-300):
             break
     return g
-
-
-def factor_problem_products(x, core, factors, mode, x_sq):
-    """Oracle: the factor subproblem with every product taken, W = I included."""
-    others = tuple(i for i in range(3) if i != mode)
-    projected = x
-    core_image = core
-    for i in others:
-        projected = mode_product(projected, factors[i].T, i)
-        core_image = mode_product(core_image, factors[i].T @ factors[i], i)
-    gram = np.tensordot(core, core_image, axes=(others, others))
-    cross = np.tensordot(core, projected, axes=(others, others))
-    return NnlsProblem(gram=gram, cross=cross, scale=x_sq)
-
-
-def reconstruct_products(core, w, h, q):
-    return mode_product(mode_product(mode_product(core, w, 0), h, 1), q, 2)
 
 
 def assert_same_bits(fast, slow):
@@ -375,6 +358,4 @@ class TestFastLoopsMatchOracles:
         fast = decompose(x, ranks, cfg).to_json(cfg)
         monkeypatch.setattr(decomposition, "hals_nnls", hals_nnls_loop)
         monkeypatch.setattr(decomposition, "core_prox_gradient", core_prox_gradient_loop)
-        monkeypatch.setattr(decomposition, "_factor_problem", factor_problem_products)
-        monkeypatch.setattr(decomposition, "reconstruct", reconstruct_products)
         assert decompose(x, ranks, cfg).to_json(cfg) == fast

@@ -143,51 +143,7 @@ class TestModeProduct:
         np.testing.assert_allclose(ops.mode_product(t, matrix, mode), expected, rtol=1e-12)
 
 
-def mode_products(tensor, factors):
-    """Every mode product taken, identity factors included."""
-    for mode, factor in enumerate(factors):
-        tensor = ops.mode_product(tensor, factor, mode)
-    return tensor
-
-
-class TestIsIdentity:
-    def test_identity(self):
-        assert ops._is_identity(np.eye(1)) and ops._is_identity(np.eye(12))
-
-    def test_signed_zero_off_diagonal_still_identity(self):
-        m = np.eye(3)
-        m[0, 2] = -0.0
-        assert ops._is_identity(m)
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [np.eye(4, 3), np.eye(3)[:, ::-1], 2.0 * np.eye(2), np.ones(3), np.eye(3)[None]],
-    )
-    def test_not_identity(self, matrix):
-        assert not ops._is_identity(matrix)
-
-    def test_tiny_off_diagonal_entry(self):
-        m = np.eye(3)
-        m[2, 0] = 1e-300
-        assert not ops._is_identity(m)
-
-
 class TestReconstruct:
-    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
-    def test_identity_w_skip_matches_products_bitwise(self, layout):
-        rng = np.random.default_rng(10)
-        core = rng.random((12, 3, 4)) * (rng.random((12, 3, 4)) < 0.7)
-        if layout == "transposed":
-            core = np.asfortranarray(core)
-        h, q = rng.random((6, 3)), rng.random((7, 4))
-        for w in (np.eye(12), np.eye(12) + 1e-300 * np.eye(12, k=-11)):
-            fast = ops.reconstruct(core, w, h, q)
-            assert fast.tobytes() == mode_products(core, (w, h, q)).tobytes()
-
-    def test_identity_w_with_wrong_core_rank_rejected(self):
-        with pytest.raises(ValueError, match="cannot contract mode 0"):
-            ops.reconstruct(np.ones((2, 3, 4)), np.eye(3), np.ones((5, 3)), np.ones((6, 4)))
-
     def test_identity_factors(self):
         rng = np.random.default_rng(3)
         x = rng.random((3, 4, 5))
@@ -271,25 +227,3 @@ class TestTruncatedHosvd:
     def test_rank_exceeds_dimension(self):
         with pytest.raises(ValueError):
             ops.truncated_hosvd(np.zeros((2, 3, 4)), (3, 3, 4))
-
-    @pytest.mark.parametrize("skip", [(), (0,), (1,), (0, 2)])
-    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
-    def test_skipped_modes_match_products_bitwise(self, skip, layout):
-        rng = np.random.default_rng(11)
-        t = rng.random((5, 6, 7))
-        if layout == "transposed":
-            t = np.asfortranarray(t)
-        ranks = tuple(t.shape[m] if m in skip else 3 for m in range(3))
-        w, h, q, core = ops.truncated_hosvd(t, ranks, nonnegative=False, skip_modes=skip)
-        for mode in skip:
-            assert np.array_equal((w, h, q)[mode], np.eye(t.shape[mode]))
-        expected = mode_products(t, (w.T, h.T, q.T))
-        assert core.tobytes() == expected.tobytes()
-
-    def test_all_modes_skipped_core_does_not_alias_input(self):
-        t = np.random.default_rng(12).random((3, 4, 5))
-        kept = t.copy()
-        *_, core = ops.truncated_hosvd(t, t.shape, nonnegative=False, skip_modes=(0, 1, 2))
-        assert np.array_equal(core, t) and core.flags["C_CONTIGUOUS"]
-        core[...] = -1.0
-        assert np.array_equal(t, kept)
