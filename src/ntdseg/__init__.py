@@ -20,7 +20,6 @@ from .evaluation import (
     oracle_select,
     rank_sweep,
     segment_song,
-    snap_to_downbeats,
 )
 from .ingest import (
     BarGrid,
@@ -43,11 +42,10 @@ from .segmentation import (
     SegmentationConfig,
     autosimilarity_from_features,
     boundaries_to_times,
-    modified_score,
     penalty,
     raw_score,
     segment,
 )
-from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd
+from .tensor_ops import mode_product, reconstruct, truncated_hosvd
 
 __all__ = [name for name in dir() if not name.startswith("_")]

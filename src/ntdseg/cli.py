@@ -8,7 +8,6 @@ import numpy as np
 
 from . import evaluation, ingest, segmentation
 from .decomposition import NtdConfig, NtdRanks, decompose
-from .nnls import SolverConfig
 
 
 def _add_ntd_flags(parser: argparse.ArgumentParser) -> None:
@@ -85,7 +84,6 @@ def _ntd_config(args) -> NtdConfig:
         max_outer_iters=args.max_outer_iters,
         outer_tolerance=args.outer_tolerance,
         fix_w_to_identity=not args.free_w,
-        inner=SolverConfig(),
     )
 
 
@@ -140,9 +138,9 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_sweep(args) -> None:
     cfg, seg_cfg = _ntd_config(args), _seg_config(args)
+    grid = evaluation.default_rank_grid(args.rank_min, args.rank_max, args.rank_step)
     x, bars = _load_tensor(args)
     reference = ingest.load_annotation(args.reference)
-    grid = evaluation.default_rank_grid(args.rank_min, args.rank_max, args.rank_step)
     sweep = evaluation.rank_sweep(x, bars, reference, grid, cfg, seg_cfg, tuple(args.tolerance))
     evaluation.write_sweep_report(args.out, sweep, tuple(args.tolerance))
 

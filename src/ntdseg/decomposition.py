@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
 
-from .nnls import NnlsProblem, SolverConfig, core_prox_gradient, hals_nnls
-from .tensor_ops import frobenius_norm, mode_product, reconstruct, truncated_hosvd
+from .nnls import NnlsProblem, core_prox_gradient, hals_nnls
+from .tensor_ops import mode_product, reconstruct, truncated_hosvd
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class NtdConfig:
     max_outer_iters: int = 100
     outer_tolerance: float = 1e-8
     fix_w_to_identity: bool = False
-    inner: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not (isinstance(self.max_outer_iters, Integral) and self.max_outer_iters >= 0):
@@ -59,7 +58,7 @@ class NtdModel:
         return reconstruct(self.core, self.w, self.h, self.q)
 
     def objective(self, x: np.ndarray) -> float:
-        return frobenius_norm(x - self.reconstruct()) ** 2
+        return float(np.linalg.norm(x - self.reconstruct())) ** 2
 
     def to_json(self, config: "NtdConfig | None" = None) -> str:
         doc = {
@@ -108,7 +107,7 @@ def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> 
     if cfg.fix_w_to_identity and ranks.f_rank != x.shape[0]:
         raise ValueError("fix_w_to_identity requires f_rank equal to the frequency dimension")
     skip = (0,) if cfg.fix_w_to_identity else ()
-    w, h, q, core = truncated_hosvd(x, ranks.as_tuple(), nonnegative=True, skip_modes=skip)
+    w, h, q, core = (np.abs(a) for a in truncated_hosvd(x, ranks.as_tuple(), skip_modes=skip))
     if cfg.fix_w_to_identity:
         w = np.eye(x.shape[0])
     model = NtdModel(w=w, h=h, q=q, core=core, ranks=ranks, objective_trace=[])
@@ -117,7 +116,7 @@ def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> 
 
 
 def _factor_problem(
-    x: np.ndarray, core: np.ndarray, factors: list[np.ndarray], mode: int, x_sq: float
+    x: np.ndarray, core: np.ndarray, factors: list[np.ndarray], mode: int
 ) -> NnlsProblem:
     """Gram-form NNLS subproblem for the factor on `mode`.
 
@@ -132,7 +131,7 @@ def _factor_problem(
         core_image = mode_product(core_image, factors[i].T @ factors[i], i)
     gram = np.tensordot(core, core_image, axes=(others, others))
     cross = np.tensordot(core, projected, axes=(others, others))
-    return NnlsProblem(gram=gram, cross=cross, scale=x_sq)
+    return NnlsProblem(gram=gram, cross=cross)
 
 
 def _check_init(init: NtdModel, shape: tuple[int, int, int], ranks: NtdRanks) -> None:
@@ -180,7 +179,6 @@ def decompose(
         model.objective_trace.append(model.objective(x))
     else:
         model = initialize(x, ranks, cfg)
-    x_sq = float(np.sum(x * x))
     factors = [model.w, model.h, model.q]
     core = model.core
     objective = model.objective_trace[0]
@@ -188,11 +186,11 @@ def decompose(
         for mode in range(3):
             if mode == 0 and cfg.fix_w_to_identity:
                 continue
-            problem = _factor_problem(x, core, factors, mode, x_sq)
-            factors[mode] = hals_nnls(problem, factors[mode].T, cfg.inner).T
-        core = core_prox_gradient(x, factors[0], factors[1], factors[2], core, cfg.inner)
+            problem = _factor_problem(x, core, factors, mode)
+            factors[mode] = hals_nnls(problem, factors[mode].T).T
+        core = core_prox_gradient(x, factors[0], factors[1], factors[2], core)
 
-        new_objective = frobenius_norm(x - reconstruct(core, *factors)) ** 2
+        new_objective = float(np.linalg.norm(x - reconstruct(core, *factors))) ** 2
         if not np.isfinite(new_objective):
             raise FloatingPointError(
                 f"non-finite objective at outer iteration {iteration}"

@@ -78,23 +78,6 @@ def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
     )
 
 
-def snap_to_downbeats(boundaries, bars: BarGrid) -> list[float]:
-    """Move each boundary to its nearest downbeat (ties toward the
-    earlier one), deduplicate and sort."""
-    downbeats = bars.downbeats
-    snapped = set()
-    for t in boundaries:
-        idx = int(np.searchsorted(downbeats, t))
-        candidates = []
-        if idx > 0:
-            candidates.append(idx - 1)
-        if idx < len(downbeats):
-            candidates.append(idx)
-        best = min(candidates, key=lambda i: (abs(downbeats[i] - t), downbeats[i]))
-        snapped.add(float(downbeats[best]))
-    return sorted(snapped)
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     t_rank: int
@@ -110,6 +93,8 @@ class RankSweepResult:
 
 def default_rank_grid(low: int = 12, high: int = 48, step: int = 4):
     """Grid of (t_rank, b_rank) pairs, 12..48 step 4 by default."""
+    if step <= 0:
+        raise ValueError(f"rank step must be positive, got {step}")
     values = range(low, high + 1, step)
     return [(t, b) for t in values for b in values]
 

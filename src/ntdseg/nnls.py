@@ -20,14 +20,13 @@ _ZERO_COLUMN_EPS = 1e-12
 class NnlsProblem:
     """``min_{Z>=0} ||Y - A Z||_F^2`` reduced to Gram form.
 
-    ``gram = A.T A``, ``cross = A.T Y`` and ``scale = ||Y||_F^2``, so the
-    objective is ``scale - 2 <cross, Z> + <Z, gram Z>`` without touching
-    the (possibly long) data matrices again.
+    ``gram = A.T A`` and ``cross = A.T Y``. Up to the constant
+    ``||Y||_F^2`` the objective is ``<Z, gram Z> - 2 <cross, Z>``, so the
+    solver never touches the (possibly long) data matrices.
     """
 
     gram: np.ndarray
     cross: np.ndarray
-    scale: float
 
     def __post_init__(self):
         if self.gram.shape[0] != self.gram.shape[1]:
@@ -36,17 +35,6 @@ class NnlsProblem:
             raise ValueError("gram/cross row mismatch")
         if not (np.isfinite(self.gram).all() and np.isfinite(self.cross).all()):
             raise ValueError("non-finite entries in NNLS problem")
-
-    @classmethod
-    def from_data(cls, a: np.ndarray, y: np.ndarray) -> "NnlsProblem":
-        return cls(a.T @ a, a.T @ y, float(np.sum(y * y)))
-
-    def objective(self, z: np.ndarray) -> float:
-        return float(self.scale - 2.0 * np.sum(self.cross * z) + np.sum(z * (self.gram @ z)))
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of ``1/2 ||Y - A Z||^2`` with respect to Z."""
-        return self.gram @ z - self.cross
 
 
 @dataclass(frozen=True)
@@ -149,6 +137,11 @@ def core_prox_gradient(
         raise ValueError(f"core shape {g0.shape} does not match factor ranks {expected}")
     if x.shape != (w.shape[0], h.shape[0], q.shape[0]):
         raise ValueError("tensor shape does not match factor rows")
+    x_sq = float(np.sum(x * x))
+    if not math.isfinite(x_sq):
+        raise ValueError("x has non-finite entries or an overflowing squared norm")
+    if not np.isfinite(g0).all():
+        raise ValueError("g0 has non-finite entries")
 
     gram_w, gram_h, gram_q = grams = _factor_grams(w, h, q)
     lipschitz = _core_lipschitz(grams)
@@ -159,7 +152,6 @@ def core_prox_gradient(
     # Mode products as direct matmuls on the shapes checked above.
     projected = (w.T @ x.reshape(x.shape[0], -1)).reshape(expected[:1] + x.shape[1:])
     cross = (h.T @ projected) @ q
-    x_sq = float(np.sum(x * x))
 
     partial = np.empty(expected)
     product = np.empty(expected)

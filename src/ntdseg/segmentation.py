@@ -89,20 +89,6 @@ def penalty(n: int) -> float:
     return 1.0
 
 
-def max_eight_bar_score(a: np.ndarray, band: int = 4) -> float:
-    """Maximum raw score over all 8-bar windows (full-length windows when
-    the piece is shorter than 8 bars)."""
-    window = min(8, a.shape[0])
-    return float(_band_scores(a, band, window)[:, window - 1].max())
-
-
-def modified_score(
-    a: np.ndarray, b1: int, b2: int, cfg: SegmentationConfig, c_max8: float
-) -> float:
-    n = b2 - b1 + 1
-    return raw_score(a, b1, b2, cfg.kernel_band) - cfg.penalty_weight * penalty(n) * c_max8
-
-
 def segment(a: np.ndarray, cfg: SegmentationConfig = SegmentationConfig()) -> Segmentation:
     """Optimal contiguous partition of the bars by dynamic programming.
 

@@ -36,25 +36,18 @@ def reconstruct(
     return mode_product(out, q, 2)
 
 
-def frobenius_norm(tensor: np.ndarray) -> float:
-    return float(np.linalg.norm(tensor))
-
-
 def truncated_hosvd(
     tensor: np.ndarray,
     ranks: tuple[int, int, int],
-    nonnegative: bool = True,
     skip_modes: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Truncated higher-order SVD of an order-3 tensor.
 
     Returns ``(w, h, q, core)`` where each factor holds the leading left
     singular vectors of the tensor's mode-n fibers and
-    ``core = tensor x0 w.T x1 h.T x2 q.T``. With ``nonnegative=True``
-    (the default) every output is passed through an element-wise absolute
-    value, which is the usual nonnegative initialization. Modes listed in
-    `skip_modes` get an identity factor instead of an SVD; their rank must
-    equal the tensor dimension.
+    ``core = tensor x0 w.T x1 h.T x2 q.T``; factors and core keep their
+    signs. Modes listed in `skip_modes` get an identity factor instead of
+    an SVD; their rank must equal the tensor dimension.
     """
     for mode in range(3):
         if ranks[mode] > tensor.shape[mode]:
@@ -78,7 +71,4 @@ def truncated_hosvd(
     core = tensor
     for mode, factor in enumerate(factors):
         core = mode_product(core, factor.T, mode)
-    if nonnegative:
-        factors = [np.abs(f) for f in factors]
-        core = np.abs(core)
     return factors[0], factors[1], factors[2], core

@@ -13,12 +13,12 @@ from ntdseg.evaluation import (
     segment_song,
 )
 from ntdseg.ingest import synth_song
-from ntdseg.nnls import NnlsProblem, hals_nnls
+from ntdseg.nnls import hals_nnls
 from ntdseg.segmentation import SegmentationConfig, penalty, segment
 from ntdseg.tensor_ops import reconstruct
 
 from test_evaluation import exhaustive_matching
-from test_nnls import TIGHT, active_set_oracle
+from test_nnls import TIGHT, active_set_oracle, gradient, objective, problem_from_data
 from test_segmentation import dp_total, enumerate_best_total
 from test_tensor_ops import brute_force_reconstruct
 
@@ -75,15 +75,15 @@ def test_criterion_4_nnls_kkt():
         r = int(rng.integers(1, 5))
         a = rng.standard_normal((6, r))
         y = rng.standard_normal((6, 3))
-        problem = NnlsProblem.from_data(a, y)
+        problem = problem_from_data(a, y)
         z0 = np.abs(rng.standard_normal((r, 3)))
         z = hals_nnls(problem, z0, TIGHT)
-        grad = problem.gradient(z)
+        grad = gradient(problem, z)
         zero = z <= 1e-10 * max(z.max(), 1.0)
         assert np.all(grad[zero] >= -1e-6)
         assert np.all(np.abs(grad[~zero]) <= 1e-6 * (1.0 + np.abs(problem.cross).max()))
         oracle = active_set_oracle(problem)
-        assert abs(problem.objective(z) - problem.objective(oracle)) <= 1e-8
+        assert abs(objective(problem, z) - objective(problem, oracle)) <= 1e-8
     elapsed = time.time() - start
     assert elapsed < 5.0
     report(4, f"100 problems, KKT within 1e-6, objectives within 1e-8, {elapsed:.1f}s")

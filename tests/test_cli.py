@@ -88,6 +88,20 @@ def test_sweep_command(tmp_path):
     assert len(lines) == 1 + 4  # header + 2x2 grid
 
 
+def test_zero_rank_step_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix)) == 0
+    out = tmp_path / "sweep.tsv"
+    code = run(
+        "sweep", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
+        "--reference", f"{prefix}.ref.txt", "--frames-per-bar", "8",
+        "--rank-step", "0", "--out", str(out),
+    )
+    assert code == 1
+    assert "rank step must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_reports_path(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code = run(

@@ -12,10 +12,9 @@ from ntdseg.evaluation import (
     hit_rate,
     oracle_select,
     rank_sweep,
-    snap_to_downbeats,
     write_sweep_report,
 )
-from ntdseg.ingest import BarGrid, synth_song
+from ntdseg.ingest import synth_song
 from ntdseg.segmentation import SegmentationConfig
 
 
@@ -130,30 +129,6 @@ class TestHitRate:
             assert s.matched <= min(s.n_ref, s.n_est)
 
 
-class TestSnapToDownbeats:
-    def test_exact_downbeat_unchanged(self):
-        bars = BarGrid(downbeats=2.0 * np.arange(5, dtype=float))
-        assert snap_to_downbeats([4.0], bars) == [4.0]
-
-    def test_nearest(self):
-        bars = BarGrid(downbeats=2.0 * np.arange(5, dtype=float))
-        assert snap_to_downbeats([3.2], bars) == [4.0]
-
-    def test_tie_goes_to_earlier(self):
-        bars = BarGrid(downbeats=2.0 * np.arange(5, dtype=float))
-        assert snap_to_downbeats([3.0], bars) == [2.0]
-
-    def test_collapse_duplicates(self):
-        bars = BarGrid(downbeats=2.0 * np.arange(5, dtype=float))
-        assert snap_to_downbeats([1.9, 2.1], bars) == [2.0]
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        bars = BarGrid(downbeats=np.sort(rng.uniform(0, 50, 20)))
-        snapped = snap_to_downbeats(rng.uniform(0, 50, 10), bars)
-        assert snap_to_downbeats(snapped, bars) == snapped
-
-
 class TestRankSweep:
     def test_single_pair(self):
         x, bars, ref = make_tiny_song()
@@ -171,6 +146,11 @@ class TestRankSweep:
         assert len(grid) == 100
         assert (40, 28) in grid and (48, 24) in grid
         assert all(12 <= t <= 48 and t % 4 == 0 for t, _ in grid)
+
+    @pytest.mark.parametrize("step", [0, -4])
+    def test_non_positive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="rank step must be positive"):
+            default_rank_grid(12, 48, step)
 
     def test_empty_grid_rejected(self):
         x, bars, ref = make_tiny_song()

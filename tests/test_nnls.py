@@ -14,6 +14,21 @@ from ntdseg.tensor_ops import mode_product, reconstruct
 TIGHT = SolverConfig(max_inner_iters=1000, inner_tolerance=1e-15, acceleration_budget=1e6)
 
 
+def problem_from_data(a: np.ndarray, y: np.ndarray) -> NnlsProblem:
+    """The Gram form of ``min_{Z>=0} ||Y - A Z||_F^2``."""
+    return NnlsProblem(a.T @ a, a.T @ y)
+
+
+def objective(problem: NnlsProblem, z: np.ndarray) -> float:
+    """``||Y - A Z||_F^2 - ||Y||_F^2``, from the Gram form."""
+    return float(np.sum(z * (problem.gram @ z)) - 2.0 * np.sum(problem.cross * z))
+
+
+def gradient(problem: NnlsProblem, z: np.ndarray) -> np.ndarray:
+    """Gradient of ``1/2 ||Y - A Z||_F^2`` with respect to Z."""
+    return problem.gram @ z - problem.cross
+
+
 def active_set_oracle(problem: NnlsProblem) -> np.ndarray:
     """Exact NNLS by enumerating every support set, column by column."""
     r, k = problem.cross.shape
@@ -135,22 +150,22 @@ def random_problem(rng, r=None, rows=6, cols=3):
     r = r if r is not None else rng.integers(1, 5)
     a = rng.standard_normal((rows, r))
     y = rng.standard_normal((rows, cols))
-    return NnlsProblem.from_data(a, y)
+    return problem_from_data(a, y)
 
 
 class TestHalsNnls:
     def test_identity_clamps_negative_component(self):
-        problem = NnlsProblem.from_data(np.eye(2), np.array([[2.0], [-3.0]]))
+        problem = problem_from_data(np.eye(2), np.array([[2.0], [-3.0]]))
         z = hals_nnls(problem, np.zeros((2, 1)), TIGHT)
         np.testing.assert_allclose(z, [[2.0], [0.0]], atol=1e-12)
 
     def test_interior_solution(self):
-        problem = NnlsProblem.from_data(np.array([[1.0], [1.0]]), np.array([[1.0], [3.0]]))
+        problem = problem_from_data(np.array([[1.0], [1.0]]), np.array([[1.0], [3.0]]))
         z = hals_nnls(problem, np.zeros((1, 1)), TIGHT)
         np.testing.assert_allclose(z, [[2.0]], atol=1e-12)
 
     def test_fixed_point(self):
-        problem = NnlsProblem.from_data(np.eye(2), np.array([[2.0], [-3.0]]))
+        problem = problem_from_data(np.eye(2), np.array([[2.0], [-3.0]]))
         z_star = np.array([[2.0], [0.0]])
         z = hals_nnls(problem, z_star, TIGHT)
         np.testing.assert_allclose(z, z_star, atol=1e-12)
@@ -169,7 +184,7 @@ class TestHalsNnls:
             problem = random_problem(rng)
             z0 = np.abs(rng.standard_normal(problem.cross.shape))
             z = hals_nnls(problem, z0, SolverConfig())
-            assert problem.objective(z) <= problem.objective(z0) + 1e-12
+            assert objective(problem, z) <= objective(problem, z0) + 1e-12
 
     def test_kkt_and_oracle_objective(self):
         rng = np.random.default_rng(2)
@@ -177,23 +192,23 @@ class TestHalsNnls:
             problem = random_problem(rng, r=int(rng.integers(1, 5)))
             z0 = np.abs(rng.standard_normal(problem.cross.shape))
             z = hals_nnls(problem, z0, TIGHT)
-            grad = problem.gradient(z)
+            grad = gradient(problem, z)
             tol = 1e-6 * (1.0 + np.abs(problem.cross).max())
             # entries at the safeguard scale count as zero
             zero = z <= 1e-10 * max(z.max(), 1.0)
             assert np.all(grad[zero] >= -1e-6)
             assert np.all(np.abs(grad[~zero]) <= tol)
             oracle = active_set_oracle(problem)
-            assert problem.objective(z) <= problem.objective(oracle) + 1e-8
+            assert objective(problem, z) <= objective(problem, oracle) + 1e-8
 
     def test_dimension_mismatch(self):
-        problem = NnlsProblem.from_data(np.eye(2), np.ones((2, 3)))
+        problem = problem_from_data(np.eye(2), np.ones((2, 3)))
         with pytest.raises(ValueError):
             hals_nnls(problem, np.zeros((3, 3)), TIGHT)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            NnlsProblem(np.array([[np.nan]]), np.array([[1.0]]), 1.0)
+            NnlsProblem(np.array([[np.nan]]), np.array([[1.0]]))
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
     def test_non_finite_acceleration_budget_rejected(self, budget):
@@ -266,6 +281,23 @@ class TestCoreProxGradient:
             assert after <= before + 1e-12
             assert np.all(g >= 0)
 
+    def test_non_finite_x_rejected(self):
+        rng = np.random.default_rng(8)
+        x = rng.random((4, 5, 6))
+        x[1, 2, 3] = np.inf
+        factors = [rng.random((d, r)) for d, r in zip(x.shape, (2, 3, 2))]
+        with pytest.raises(ValueError, match="^x has non-finite entries"):
+            core_prox_gradient(x, *factors, rng.random((2, 3, 2)))
+
+    def test_non_finite_g0_rejected(self):
+        rng = np.random.default_rng(9)
+        x = rng.random((4, 5, 6))
+        factors = [rng.random((d, r)) for d, r in zip(x.shape, (2, 3, 2))]
+        g0 = rng.random((2, 3, 2))
+        g0[0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="^g0 has non-finite entries"):
+            core_prox_gradient(x, *factors, g0)
+
     def test_zero_factors_rejected(self):
         x = np.ones((2, 2, 2))
         with pytest.raises(ValueError):
@@ -303,7 +335,7 @@ class TestFastLoopsMatchOracles:
             dead = rng.random(r) < 0.4
             cross[dead] = -10.0 * (1.0 + np.abs(cross[dead]))
             z0[dead & (rng.random(r) < 0.5)] = 0.0
-        problem = NnlsProblem(gram, cross, 1.0)
+        problem = NnlsProblem(gram, cross)
         cfg = SolverConfig(max_inner_iters=iters, inner_tolerance=tolerance,
                            acceleration_budget=budget)
         assert_same_bits(hals_nnls(problem, z0, cfg), hals_nnls_loop(problem, z0, cfg))

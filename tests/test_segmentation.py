@@ -13,13 +13,24 @@ from ntdseg.segmentation import (
     _band_scores,
     autosimilarity_from_features,
     boundaries_to_times,
-    max_eight_bar_score,
-    modified_score,
     penalty,
     raw_score,
     save_segmentation,
     segment,
 )
+
+
+def max_eight_bar_score(a, band=4):
+    """Maximum raw score over all 8-bar windows (full-length windows when
+    the piece is shorter than 8 bars)."""
+    window = min(8, a.shape[0])
+    return max(raw_score(a, s, s + window - 1, band) for s in range(a.shape[0] - window + 1))
+
+
+def modified_score(a, b1, b2, cfg, c_max8):
+    """Raw score of the segment [b1, b2] less its weighted length penalty."""
+    n = b2 - b1 + 1
+    return raw_score(a, b1, b2, cfg.kernel_band) - cfg.penalty_weight * penalty(n) * c_max8
 
 
 def partitions(a, cfg):
