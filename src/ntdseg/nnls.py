@@ -13,8 +13,6 @@ from numbers import Integral
 
 import numpy as np
 
-_ZERO_COLUMN_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class NnlsProblem:
@@ -59,8 +57,10 @@ def hals_nnls(
 
     Sweeps exact coordinate-block updates over the rows of Z (one row per
     column of A), repeating sweeps while the iterate still moves, up to a
-    work budget proportional to the sweep cost. Monotone in the objective
-    and never returns negative entries.
+    work budget proportional to the sweep cost. Each row moves to the
+    exact minimiser of its block, so a row that updates to all zeros stays
+    exactly zero and no update increases the objective. Never returns
+    negative entries.
     """
     z = np.array(z0, dtype=float)
     if z.shape != problem.cross.shape:
@@ -92,9 +92,6 @@ def hals_nnls(
             np.divide(new, denom, out=new)
             np.add(z_row, new, out=new)
             np.maximum(0.0, new, out=new)
-            if not np.logical_or.reduce(new):
-                # Keep a degenerate component alive at negligible scale.
-                new.fill(_ZERO_COLUMN_EPS * np.maximum.reduce(z_row))
             np.subtract(new, z_row, out=change)
             np.multiply(change, change, out=change)
             delta += float(np.add.reduce(change))

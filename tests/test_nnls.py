@@ -79,9 +79,6 @@ def hals_nnls_loop(
             row = np.maximum(
                 0.0, z[j] + (problem.cross[j] - problem.gram[j] @ z) / denom
             )
-            if not row.any():
-                # Keep a degenerate component alive at negligible scale.
-                row = np.full_like(row, 1e-12 * z[j].max())
             delta += float(np.sum((row - z[j]) ** 2))
             z[j] = row
         delta = math.sqrt(delta)
@@ -194,12 +191,18 @@ class TestHalsNnls:
             z = hals_nnls(problem, z0, TIGHT)
             grad = gradient(problem, z)
             tol = 1e-6 * (1.0 + np.abs(problem.cross).max())
-            # entries at the safeguard scale count as zero
+            # entries below 1e-10 of max(z.max(), 1) count as zero
             zero = z <= 1e-10 * max(z.max(), 1.0)
             assert np.all(grad[zero] >= -1e-6)
             assert np.all(np.abs(grad[~zero]) <= tol)
             oracle = active_set_oracle(problem)
             assert objective(problem, z) <= objective(problem, oracle) + 1e-8
+
+    def test_row_updating_to_zero_stays_exactly_zero(self):
+        problem = problem_from_data(np.eye(2), np.array([[2.0], [-3.0]]))
+        z = hals_nnls(problem, np.ones((2, 1)), SolverConfig())
+        assert z[1, 0] == 0.0
+        assert_same_bits(z, np.array([[2.0], [0.0]]))
 
     def test_dimension_mismatch(self):
         problem = problem_from_data(np.eye(2), np.ones((2, 3)))
@@ -330,8 +333,7 @@ class TestFastLoopsMatchOracles:
         cross = a.T @ (rng.random((r + 2, cols)) - 0.3)
         z0 = rng.random((cols, r)).T if transposed else rng.random((r, cols))
         if dead_rows:
-            # these rows update to all zeros: the refill keeps a nonzero row
-            # alive at 1e-12 of its maximum and leaves a zero row at zero
+            # these rows update to all zeros, from a zero or a nonzero start
             dead = rng.random(r) < 0.4
             cross[dead] = -10.0 * (1.0 + np.abs(cross[dead]))
             z0[dead & (rng.random(r) < 0.5)] = 0.0
