@@ -126,10 +126,10 @@ def _cmd_segment(args) -> None:
 def _cmd_evaluate(args) -> None:
     estimate = ingest.load_annotation(args.estimate).boundaries()
     reference = ingest.load_annotation(args.reference).boundaries()
+    scores = [(tol, evaluation.hit_rate(reference, estimate, tol)) for tol in args.tolerance]
     with open(args.out, "w") as fh:
         fh.write("tolerance\tprecision\trecall\tf_measure\tmatched\tn_ref\tn_est\n")
-        for tol in args.tolerance:
-            s = evaluation.hit_rate(reference, estimate, tol)
+        for tol, s in scores:
             fh.write(
                 f"{tol!r}\t{s.precision!r}\t{s.recall!r}\t{s.f_measure!r}"
                 f"\t{s.matched}\t{s.n_ref}\t{s.n_est}\n"
@@ -146,6 +146,8 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    if args.pattern_count < 1:
+        raise ValueError(f"--pattern-count must be at least 1, got {args.pattern_count}")
     rng = np.random.default_rng(args.seed)
     patterns = [
         rng.uniform(0.0, 1.0, (args.pitch_classes, args.frames_per_bar))

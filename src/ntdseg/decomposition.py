@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -116,81 +117,62 @@ def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> 
 
 
 def _factor_problem(
-    x: np.ndarray, core: np.ndarray, factors: list[np.ndarray], mode: int
+    projected: np.ndarray, core: np.ndarray, grams: list[np.ndarray], mode: int
 ) -> NnlsProblem:
     """Gram-form NNLS subproblem for the factor on `mode`.
 
-    The unknown is the transposed factor, so the Gram is rank-by-rank and
-    never touches the long tensor modes directly.
+    `projected` is the data contracted with the transposed factors on the
+    other two modes, and `grams` holds every factor's Gram. The unknown is
+    the transposed factor, so the Gram is rank-by-rank and never touches
+    the long tensor modes directly.
     """
     others = tuple(i for i in range(3) if i != mode)
-    projected = x
     core_image = core
     for i in others:
-        projected = mode_product(projected, factors[i].T, i)
-        core_image = mode_product(core_image, factors[i].T @ factors[i], i)
+        core_image = mode_product(core_image, grams[i], i)
     gram = np.tensordot(core, core_image, axes=(others, others))
     cross = np.tensordot(core, projected, axes=(others, others))
     return NnlsProblem(gram=gram, cross=cross)
 
 
-def _check_init(init: NtdModel, shape: tuple[int, int, int], ranks: NtdRanks) -> None:
-    r = ranks.as_tuple()
-    expected = {
-        "w": (shape[0], r[0]), "h": (shape[1], r[1]), "q": (shape[2], r[2]), "core": r,
-    }
-    for name, want in expected.items():
-        array = getattr(init, name)
-        if array.shape != want:
-            raise ValueError(f"init {name} has shape {array.shape}, expected {want}")
-        if not np.isfinite(array).all():
-            raise ValueError(f"init {name} has non-finite entries")
-        if np.any(array < 0):
-            raise ValueError(f"init {name} has negative entries")
+def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> NtdModel:
+    """Alternating NTD from the HOSVD start: cyclic factor updates, then
+    the core, until the relative objective improvement stalls. The returned
+    model is normalized; its objective trace holds one entry per completed
+    cycle plus the initial value.
 
-
-def decompose(
-    x: np.ndarray,
-    ranks: NtdRanks,
-    cfg: NtdConfig = NtdConfig(),
-    init: NtdModel | None = None,
-) -> NtdModel:
-    """Alternating NTD: cyclic factor updates, then the core, until the
-    relative objective improvement stalls. The returned model is
-    normalized; its objective trace holds one entry per completed cycle
-    plus the initial value. `init` overrides the HOSVD starting point.
+    This is the only code that contracts `x`: it forms ``x x0 W.T`` once
+    per W (once per fit when W is fixed) and reuses it for the H, Q and
+    core steps, and it takes ``||x||^2`` once per fit.
     """
     non_finite = int(np.count_nonzero(~np.isfinite(x)))
     if non_finite:
         raise ValueError(f"input tensor has {non_finite} non-finite entries (NaN or inf)")
     if np.any(x < 0):
         raise ValueError("input tensor must be nonnegative")
-    if init is not None:
-        ranks.validate_for(x.shape)
-        _check_init(init, x.shape, ranks)
-        if cfg.fix_w_to_identity and not np.array_equal(init.w, np.eye(x.shape[0])):
-            raise ValueError(
-                f"fix_w_to_identity requires init w to be the {x.shape[0]}x{x.shape[0]} identity"
-            )
-        model = NtdModel(
-            w=init.w.copy(), h=init.h.copy(), q=init.q.copy(),
-            core=init.core.copy(), ranks=ranks, objective_trace=[],
-        )
-        model.objective_trace.append(model.objective(x))
-    else:
-        model = initialize(x, ranks, cfg)
-    factors = [model.w, model.h, model.q]
-    core = model.core
+    with np.errstate(over="ignore"):
+        x_sq = float(np.sum(x * x))
+    if not math.isfinite(x_sq):
+        raise ValueError("squared norm of the input tensor overflows")
+    model = initialize(x, ranks, cfg)
+    w, h, q, core = model.w, model.h, model.q, model.core
+    grams = [w.T @ w, h.T @ h, q.T @ q]
     objective = model.objective_trace[0]
+    xw = mode_product(x, w.T, 0) if cfg.fix_w_to_identity else None
     for iteration in range(cfg.max_outer_iters):
-        for mode in range(3):
-            if mode == 0 and cfg.fix_w_to_identity:
-                continue
-            problem = _factor_problem(x, core, factors, mode)
-            factors[mode] = hals_nnls(problem, factors[mode].T).T
-        core = core_prox_gradient(x, factors[0], factors[1], factors[2], core)
+        if not cfg.fix_w_to_identity:
+            xhq = mode_product(mode_product(x, h.T, 1), q.T, 2)
+            w = hals_nnls(_factor_problem(xhq, core, grams, 0), w.T).T
+            grams[0] = w.T @ w
+            xw = mode_product(x, w.T, 0)
+        h = hals_nnls(_factor_problem(mode_product(xw, q.T, 2), core, grams, 1), h.T).T
+        grams[1] = h.T @ h
+        xwh = mode_product(xw, h.T, 1)
+        q = hals_nnls(_factor_problem(xwh, core, grams, 2), q.T).T
+        grams[2] = q.T @ q
+        core = core_prox_gradient(tuple(grams), mode_product(xwh, q.T, 2), x_sq, core)
 
-        new_objective = float(np.linalg.norm(x - reconstruct(core, *factors))) ** 2
+        new_objective = float(np.linalg.norm(x - reconstruct(core, w, h, q))) ** 2
         if not np.isfinite(new_objective):
             raise FloatingPointError(
                 f"non-finite objective at outer iteration {iteration}"
@@ -200,7 +182,7 @@ def decompose(
         objective = new_objective
         if improvement < cfg.outer_tolerance * max(objective, 1e-300):
             break
-    model.w, model.h, model.q, model.core = factors[0], factors[1], factors[2], core
+    model.w, model.h, model.q, model.core = w, h, q, core
     return normalize(model)
 
 

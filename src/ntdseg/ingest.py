@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,8 @@ def synth_song(
     """
     if not bar_assignment:
         raise ValueError("bar_assignment must be nonempty")
-    if noise_level < 0:
-        raise ValueError("noise_level must be nonnegative")
+    if not (math.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError("noise_level must be a nonnegative finite number")
     shapes = {p.shape for p in patterns}
     if len(shapes) != 1:
         raise ValueError("all patterns must share one shape")

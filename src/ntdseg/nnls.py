@@ -1,9 +1,11 @@
 """Inner nonnegative least-squares solvers.
 
-Two solvers back the alternating Tucker updates: an accelerated
-hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``
-expressed in normal-equation (Gram) form, and a projected gradient
-method with a Lipschitz step for the core tensor.
+Two solvers back the alternating Tucker updates, both in normal-equation
+(Gram) form, so neither touches the data tensor: an accelerated
+hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and a
+projected gradient method with a Lipschitz step for the core tensor, which
+reads the three factor Grams, the data projected onto the factors and the
+data's squared norm.
 """
 from __future__ import annotations
 
@@ -104,51 +106,38 @@ def hals_nnls(
     return z
 
 
-def _factor_grams(w: np.ndarray, h: np.ndarray, q: np.ndarray):
-    return w.T @ w, h.T @ h, q.T @ q
-
-
-def _core_lipschitz(grams) -> float:
-    bound = 1.0
-    for g in grams:
-        bound *= float(np.linalg.eigvalsh(g)[-1])
-    return bound
-
-
 def core_prox_gradient(
-    x: np.ndarray,
-    w: np.ndarray,
-    h: np.ndarray,
-    q: np.ndarray,
+    grams: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cross: np.ndarray,
+    x_sq: float,
     g0: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
 ) -> np.ndarray:
     """Projected gradient update of the nonnegative core tensor.
 
-    Each iteration steps along the gradient of the smooth reconstruction
-    objective with step ``1/L``, ``L`` being the product of the largest
-    eigenvalues of the three factor Grams, then clips at zero.
+    Minimises ``||X - G x0 W x1 H x2 Q||_F^2`` over ``G >= 0`` from
+    ``grams = (W.T W, H.T H, Q.T Q)``, ``cross = X x0 W.T x1 H.T x2 Q.T``
+    and ``x_sq = ||X||_F^2``. Each iteration steps along the gradient with
+    step ``1/L``, ``L`` being the product of the largest eigenvalues of the
+    three Grams, then clips at zero.
     """
-    expected = (w.shape[1], h.shape[1], q.shape[1])
+    expected = cross.shape
     if g0.shape != expected:
-        raise ValueError(f"core shape {g0.shape} does not match factor ranks {expected}")
-    if x.shape != (w.shape[0], h.shape[0], q.shape[0]):
-        raise ValueError("tensor shape does not match factor rows")
-    x_sq = float(np.sum(x * x))
+        raise ValueError(f"core shape {g0.shape} does not match cross shape {expected}")
+    if tuple(g.shape for g in grams) != tuple((r, r) for r in expected):
+        raise ValueError(f"factor Grams do not match cross shape {expected}")
+    if not (np.isfinite(cross).all() and all(np.isfinite(g).all() for g in grams)):
+        raise ValueError("non-finite entries in core problem")
     if not math.isfinite(x_sq):
-        raise ValueError("x has non-finite entries or an overflowing squared norm")
+        raise ValueError("x_sq is not finite")
     if not np.isfinite(g0).all():
         raise ValueError("g0 has non-finite entries")
 
-    gram_w, gram_h, gram_q = grams = _factor_grams(w, h, q)
-    lipschitz = _core_lipschitz(grams)
+    gram_w, gram_h, gram_q = grams
+    lipschitz = math.prod(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
     if lipschitz <= 0.0:
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
     step = 1.0 / lipschitz
-
-    # Mode products as direct matmuls on the shapes checked above.
-    projected = (w.T @ x.reshape(x.shape[0], -1)).reshape(expected[:1] + x.shape[1:])
-    cross = (h.T @ projected) @ q
 
     partial = np.empty(expected)
     product = np.empty(expected)

@@ -149,3 +149,31 @@ def test_autosim_output(tmp_path):
     a = np.loadtxt(autosim, delimiter="\t")
     assert a.shape == (24, 24)
     np.testing.assert_allclose(a, a.T, atol=1e-12)
+
+
+def test_synth_infinite_noise_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix, noise="inf")) == 1
+    assert "noise_level must be a nonnegative finite number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_synth_zero_pattern_count_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix, **{"pattern-count": 0})) == 1
+    assert "--pattern-count must be at least 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evaluate_bad_tolerance_writes_nothing(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix)) == 0
+    ref = f"{prefix}.ref.txt"
+    out = tmp_path / "scores.tsv"
+    code = run(
+        "evaluate", "--estimate", ref, "--reference", ref,
+        "--tolerance", "0.5", "-1", "--out", str(out),
+    )
+    assert code == 1
+    assert "tolerance must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,11 @@
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ntdseg import decomposition
 from ntdseg.decomposition import (
     NtdConfig,
     NtdModel,
@@ -12,7 +15,51 @@ from ntdseg.decomposition import (
     normalize,
     parameter_count,
 )
-from ntdseg.tensor_ops import reconstruct
+from ntdseg.nnls import NnlsProblem, core_prox_gradient, hals_nnls
+from ntdseg.tensor_ops import mode_product, reconstruct
+
+from test_nnls import core_problem_from_data
+
+
+def start_from(monkeypatch, truth: NtdModel) -> None:
+    """Make `decompose` start from `truth` instead of the HOSVD."""
+
+    def initialize_at_truth(x, ranks, cfg):
+        return replace(truth, objective_trace=[truth.objective(x)])
+
+    monkeypatch.setattr(decomposition, "initialize", initialize_at_truth)
+
+
+def decompose_parent_loop(x, ranks, cfg=NtdConfig()):
+    """Oracle: the alternating loop that projects `x` afresh for every
+    factor subproblem and builds the core problem from `x`."""
+    model = initialize(x, ranks, cfg)
+    factors = [model.w, model.h, model.q]
+    core = model.core
+    objective = model.objective_trace[0]
+    for _ in range(cfg.max_outer_iters):
+        for mode in range(3):
+            if mode == 0 and cfg.fix_w_to_identity:
+                continue
+            others = tuple(i for i in range(3) if i != mode)
+            projected, core_image = x, core
+            for i in others:
+                projected = mode_product(projected, factors[i].T, i)
+                core_image = mode_product(core_image, factors[i].T @ factors[i], i)
+            problem = NnlsProblem(
+                gram=np.tensordot(core, core_image, axes=(others, others)),
+                cross=np.tensordot(core, projected, axes=(others, others)),
+            )
+            factors[mode] = hals_nnls(problem, factors[mode].T).T
+        core = core_prox_gradient(*core_problem_from_data(x, *factors), core)
+        new_objective = float(np.linalg.norm(x - reconstruct(core, *factors))) ** 2
+        model.objective_trace.append(new_objective)
+        improvement = objective - new_objective
+        objective = new_objective
+        if improvement < cfg.outer_tolerance * max(objective, 1e-300):
+            break
+    model.w, model.h, model.q, model.core = factors[0], factors[1], factors[2], core
+    return normalize(model)
 
 
 def random_model(rng, dims=(4, 5, 6), ranks=(2, 3, 2)):
@@ -111,12 +158,13 @@ class TestDecompose:
             assert np.all(np.diff(trace) <= slack)
             assert trace[-1] <= trace[0]
 
-    def test_ground_truth_fixed_point(self):
+    def test_ground_truth_fixed_point(self, monkeypatch):
         # starting from the true model the objective cannot move
         rng = np.random.default_rng(4)
         truth = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
         x = truth.reconstruct()
-        model = decompose(x, truth.ranks, NtdConfig(max_outer_iters=10), init=truth)
+        start_from(monkeypatch, truth)
+        model = decompose(x, truth.ranks, NtdConfig(max_outer_iters=10))
         trace = np.array(model.objective_trace)
         assert trace[0] <= 1e-10
         assert np.all(trace <= trace[0] + 1e-10)
@@ -166,54 +214,13 @@ class TestDecompose:
             decompose(x, NtdRanks(12, 12, 10))
         assert time.perf_counter() - start < 0.5
 
-    def test_init_rank_mismatch_rejected(self):
-        # a rank-2 model cannot start a fit labelled with b_rank 3
-        rng = np.random.default_rng(11)
-        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
-        with pytest.raises(ValueError, match="init q has shape"):
-            decompose(init.reconstruct(), NtdRanks(2, 2, 3), init=init)
-
-    def test_init_tensor_mismatch_rejected(self):
-        rng = np.random.default_rng(12)
-        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
-        with pytest.raises(ValueError, match="init h has shape"):
-            decompose(rng.random((4, 7, 6)), init.ranks, init=init)
-
-    def test_negative_init_rejected(self):
-        rng = np.random.default_rng(13)
-        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
-        x = init.reconstruct()
-        init.core[0, 1, 0] = -0.5
-        with pytest.raises(ValueError, match="init core has negative"):
-            decompose(x, init.ranks, init=init)
-
-    def test_non_finite_init_rejected(self):
-        rng = np.random.default_rng(14)
-        init = random_model(rng, dims=(4, 5, 6), ranks=(2, 2, 2))
-        x = init.reconstruct()
-        init.w[0, 0] = np.nan
-        with pytest.raises(ValueError, match="init w has non-finite"):
-            decompose(x, init.ranks, init=init)
-
-    @pytest.mark.parametrize("w_shape", [(4, 3), (4, 4)])
-    def test_fixed_identity_w_rejects_non_identity_init(self, w_shape):
-        rng = np.random.default_rng(15)
-        init = random_model(rng, dims=(4, 5, 6), ranks=(w_shape[1], 2, 2))
-        with pytest.raises(ValueError, match="requires init w to be the 4x4 identity"):
-            decompose(
-                rng.random((4, 5, 6)), init.ranks,
-                NtdConfig(fix_w_to_identity=True, max_outer_iters=2), init=init,
-            )
-
-    def test_fixed_identity_w_accepts_identity_init(self):
-        rng = np.random.default_rng(16)
-        init = random_model(rng, dims=(4, 5, 6), ranks=(4, 2, 2))
-        init.w = np.eye(4)
-        model = decompose(
-            rng.random((4, 5, 6)), init.ranks,
-            NtdConfig(fix_w_to_identity=True, max_outer_iters=2), init=init,
-        )
-        assert np.array_equal(model.w, np.eye(4))
+    def test_overflowing_squared_norm_rejected(self):
+        # every entry is finite, but ||x||^2 is not
+        x = np.full((4, 5, 6), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared norm of the input tensor overflows"):
+                decompose(x, NtdRanks(2, 2, 2))
 
     def test_membership_recovery_on_separated_patterns(self):
         # well-separated bar patterns: argmax rows of q map onto the true
@@ -232,6 +239,40 @@ class TestDecompose:
             mapping.setdefault(true, got)
             assert mapping[true] == got
         assert len(set(mapping.values())) == 3
+
+
+class TestDataPasses:
+    @pytest.mark.parametrize("fix_w", [False, True])
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran"])
+    def test_matches_parent_loop(self, fix_w, layout):
+        rng = np.random.default_rng(21)
+        x = rng.random((12, 16, 20)) * (rng.random((12, 16, 20)) < 0.9)
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        ranks = NtdRanks(12 if fix_w else 5, 6, 9)
+        cfg = NtdConfig(max_outer_iters=8, fix_w_to_identity=fix_w)
+        expected = decompose_parent_loop(x, ranks, cfg).to_json(cfg)
+        assert decompose(x, ranks, cfg).to_json(cfg) == expected
+
+    @pytest.mark.parametrize("fix_w", [False, True])
+    def test_mode_products_of_x(self, monkeypatch, fix_w):
+        # x x0 W.T once per W: once per fit with W fixed; with W free, that
+        # and the W step's x x1 H.T once per outer iteration
+        rng = np.random.default_rng(22)
+        x = rng.random((12, 16, 20))
+        calls = []
+
+        def counting(tensor, matrix, mode):
+            if tensor is x:
+                calls.append(mode)
+            return mode_product(tensor, matrix, mode)
+
+        monkeypatch.setattr(decomposition, "mode_product", counting)
+        cfg = NtdConfig(max_outer_iters=6, outer_tolerance=0.0, fix_w_to_identity=fix_w)
+        model = decompose(x, NtdRanks(12 if fix_w else 5, 6, 9), cfg)
+        outer = len(model.objective_trace) - 1
+        assert outer >= 2
+        assert calls == ([0] if fix_w else [1, 0] * outer)
 
 
 class TestNormalize:

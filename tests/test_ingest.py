@@ -24,6 +24,8 @@ from ntdseg.ingest import (
     tensorize,
 )
 
+from test_decomposition import start_from
+
 
 def make_chromagram(rng, n_frames=40, t0=0.0, t1=10.0):
     times = np.sort(rng.uniform(t0, t1, n_frames))
@@ -320,7 +322,12 @@ class TestSynthSong:
         with pytest.raises(ValueError):
             synth_song([np.ones((2, 2))], [0, 1])
 
-    def test_zero_noise_decompose_at_true_ranks(self):
+    @pytest.mark.parametrize("noise_level", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_level_rejected(self, noise_level):
+        with pytest.raises(ValueError, match="noise_level must be a nonnegative finite number"):
+            synth_song([np.ones((2, 2))], [0], noise_level=noise_level)
+
+    def test_zero_noise_decompose_at_true_ranks(self, monkeypatch):
         rng = np.random.default_rng(8)
         patterns = [rng.random((4, 6)) for _ in range(2)]
         x, _, _ = synth_song(patterns, [0, 0, 1, 1, 0, 0])
@@ -332,7 +339,8 @@ class TestSynthSong:
             ranks=NtdRanks(4, 6, 2),
             objective_trace=[],
         )
-        model = decompose(x, truth.ranks, NtdConfig(max_outer_iters=20), init=truth)
+        start_from(monkeypatch, truth)
+        model = decompose(x, truth.ranks, NtdConfig(max_outer_iters=20))
         assert model.objective_trace[-1] <= 1e-10 * np.sum(x * x)
 
     def test_tensor_to_chromagram_round_trip(self):

@@ -89,32 +89,27 @@ def hals_nnls_loop(
     return z
 
 
+def core_problem_from_data(x, w, h, q):
+    """``(grams, cross, x_sq)`` of the core step for data `x` and factors."""
+    grams = (w.T @ w, h.T @ h, q.T @ q)
+    cross = mode_product(mode_product(mode_product(x, w.T, 0), h.T, 1), q.T, 2)
+    return grams, cross, float(np.sum(x * x))
+
+
 def core_prox_gradient_loop(
-    x: np.ndarray,
-    w: np.ndarray,
-    h: np.ndarray,
-    q: np.ndarray,
-    g0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
+    grams, cross: np.ndarray, x_sq: float, g0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> np.ndarray:
     """Oracle: the projected gradient core loop with three checked mode
     products per Gram image."""
-    expected = (w.shape[1], h.shape[1], q.shape[1])
-    if g0.shape != expected:
-        raise ValueError(f"core shape {g0.shape} does not match factor ranks {expected}")
-    if x.shape != (w.shape[0], h.shape[0], q.shape[0]):
-        raise ValueError("tensor shape does not match factor rows")
+    if g0.shape != cross.shape:
+        raise ValueError(f"core shape {g0.shape} does not match cross shape {cross.shape}")
 
-    grams = (w.T @ w, h.T @ h, q.T @ q)
     lipschitz = 1.0
     for gram in grams:
         lipschitz *= float(np.linalg.eigvalsh(gram)[-1])
     if lipschitz <= 0.0:
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
     step = 1.0 / lipschitz
-
-    cross = mode_product(mode_product(mode_product(x, w.T, 0), h.T, 1), q.T, 2)
-    x_sq = float(np.sum(x * x))
 
     def gram_image(g):
         out = mode_product(g, grams[0], 0)
@@ -228,14 +223,14 @@ class TestCoreProxGradient:
         rng = np.random.default_rng(3)
         x = rng.random((3, 4, 5))
         eye = [np.eye(d) for d in x.shape]
-        g = core_prox_gradient(x, *eye, x.copy(), TIGHT)
+        g = core_prox_gradient(*core_problem_from_data(x, *eye), x.copy(), TIGHT)
         np.testing.assert_allclose(g, x, atol=1e-12)
 
     def test_identity_projection_at_convergence(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 4, 5))
         eye = [np.eye(d) for d in x.shape]
-        g = core_prox_gradient(x, *eye, np.zeros(x.shape), TIGHT)
+        g = core_prox_gradient(*core_problem_from_data(x, *eye), np.zeros(x.shape), TIGHT)
         np.testing.assert_allclose(g, np.maximum(x, 0.0), atol=1e-10)
 
     def test_recovers_known_optimum(self):
@@ -255,7 +250,7 @@ class TestCoreProxGradient:
         x = reconstruct(g_star, w, h, q)
         g0 = rng.random(g_star.shape)
         cfg = SolverConfig(max_inner_iters=500, inner_tolerance=0.0, acceleration_budget=1e6)
-        g = core_prox_gradient(x, w, h, q, g0, cfg)
+        g = core_prox_gradient(*core_problem_from_data(x, w, h, q), g0, cfg)
         obj = np.sum((x - reconstruct(g, w, h, q)) ** 2)
         assert obj <= 1e-6 * np.sum(x * x)
 
@@ -264,7 +259,7 @@ class TestCoreProxGradient:
         w, h, q = rng.random((5, 2)), rng.random((6, 3)), rng.random((7, 2))
         x = rng.random((5, 6, 7))
         cfg = SolverConfig(max_inner_iters=1, inner_tolerance=0.0, acceleration_budget=1.0)
-        g = core_prox_gradient(x, w, h, q, np.zeros((2, 3, 2)), cfg)
+        g = core_prox_gradient(*core_problem_from_data(x, w, h, q), np.zeros((2, 3, 2)), cfg)
         lipschitz = 1.0
         for f in (w, h, q):
             lipschitz *= np.linalg.eigvalsh(f.T @ f)[-1]
@@ -278,19 +273,27 @@ class TestCoreProxGradient:
             w, h, q = rng.random((5, 2)), rng.random((6, 3)), rng.random((7, 2))
             x = rng.random((5, 6, 7))
             g0 = rng.random((2, 3, 2))
-            g = core_prox_gradient(x, w, h, q, g0, SolverConfig(max_inner_iters=5))
+            problem = core_problem_from_data(x, w, h, q)
+            g = core_prox_gradient(*problem, g0, SolverConfig(max_inner_iters=5))
             before = np.sum((x - reconstruct(g0, w, h, q)) ** 2)
             after = np.sum((x - reconstruct(g, w, h, q)) ** 2)
             assert after <= before + 1e-12
             assert np.all(g >= 0)
 
-    def test_non_finite_x_rejected(self):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("cross", "^non-finite entries in core problem"), ("x_sq", "^x_sq is not finite")],
+    )
+    def test_non_finite_problem_rejected(self, bad, message):
         rng = np.random.default_rng(8)
-        x = rng.random((4, 5, 6))
-        x[1, 2, 3] = np.inf
-        factors = [rng.random((d, r)) for d, r in zip(x.shape, (2, 3, 2))]
-        with pytest.raises(ValueError, match="^x has non-finite entries"):
-            core_prox_gradient(x, *factors, rng.random((2, 3, 2)))
+        factors = [rng.random((d, r)) for d, r in zip((4, 5, 6), (2, 3, 2))]
+        grams, cross, x_sq = core_problem_from_data(rng.random((4, 5, 6)), *factors)
+        if bad == "cross":
+            cross[0, 1, 1] = np.inf
+        else:
+            x_sq = np.inf
+        with pytest.raises(ValueError, match=message):
+            core_prox_gradient(grams, cross, x_sq, rng.random((2, 3, 2)))
 
     def test_non_finite_g0_rejected(self):
         rng = np.random.default_rng(9)
@@ -299,14 +302,13 @@ class TestCoreProxGradient:
         g0 = rng.random((2, 3, 2))
         g0[0, 1, 1] = np.nan
         with pytest.raises(ValueError, match="^g0 has non-finite entries"):
-            core_prox_gradient(x, *factors, g0)
+            core_prox_gradient(*core_problem_from_data(x, *factors), g0)
 
     def test_zero_factors_rejected(self):
         x = np.ones((2, 2, 2))
         with pytest.raises(ValueError):
             core_prox_gradient(
-                x, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)),
-                np.zeros((1, 1, 1)), TIGHT,
+                *core_problem_from_data(x, *[np.zeros((2, 1))] * 3), np.zeros((1, 1, 1)), TIGHT
             )
 
 
@@ -375,9 +377,10 @@ class TestFastLoopsMatchOracles:
         if fortran:
             x, g0 = np.asfortranarray(x), np.asfortranarray(g0)
         cfg = SolverConfig(max_inner_iters=iters, inner_tolerance=tolerance)
+        problem = core_problem_from_data(x, w, h, q)
         assert_same_bits(
-            core_prox_gradient(x, w, h, q, g0, cfg),
-            core_prox_gradient_loop(x, w, h, q, g0, cfg),
+            core_prox_gradient(*problem, g0, cfg),
+            core_prox_gradient_loop(*problem, g0, cfg),
         )
 
     @pytest.mark.parametrize("fix_w", [False, True])

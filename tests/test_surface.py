@@ -22,19 +22,15 @@ PUBLIC = [
     "boundaries_to_times",
     "core_prox_gradient",
     "decompose",
-    "decomposition",
     "default_rank_grid",
-    "evaluation",
     "fit_lambda",
     "hals_nnls",
     "hit_rate",
-    "ingest",
     "initialize",
     "load_annotation",
     "load_bars",
     "load_chromagram",
     "mode_product",
-    "nnls",
     "normalize",
     "oracle_select",
     "parameter_count",
@@ -47,9 +43,7 @@ PUBLIC = [
     "save_chromagram",
     "segment",
     "segment_song",
-    "segmentation",
     "synth_song",
-    "tensor_ops",
     "tensor_to_chromagram",
     "tensorize",
     "truncated_hosvd",
