@@ -109,8 +109,6 @@ def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> 
         raise ValueError("fix_w_to_identity requires f_rank equal to the frequency dimension")
     skip = (0,) if cfg.fix_w_to_identity else ()
     w, h, q, core = (np.abs(a) for a in truncated_hosvd(x, ranks.as_tuple(), skip_modes=skip))
-    if cfg.fix_w_to_identity:
-        w = np.eye(x.shape[0])
     model = NtdModel(w=w, h=h, q=q, core=core, ranks=ranks, objective_trace=[])
     model.objective_trace.append(model.objective(x))
     return model
@@ -143,7 +141,8 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
 
     This is the only code that contracts `x`: it forms ``x x0 W.T`` once
     per W (once per fit when W is fixed) and reuses it for the H, Q and
-    core steps, and it takes ``||x||^2`` once per fit.
+    core steps. It takes ``||x||^2`` once per fit, only to reject an input
+    whose squared norm overflows.
     """
     non_finite = int(np.count_nonzero(~np.isfinite(x)))
     if non_finite:
@@ -170,9 +169,10 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
         xwh = mode_product(xw, h.T, 1)
         q = hals_nnls(_factor_problem(xwh, core, grams, 2), q.T).T
         grams[2] = q.T @ q
-        core = core_prox_gradient(tuple(grams), mode_product(xwh, q.T, 2), x_sq, core)
+        core = core_prox_gradient(tuple(grams), mode_product(xwh, q.T, 2), core)
 
-        new_objective = float(np.linalg.norm(x - reconstruct(core, w, h, q))) ** 2
+        model.w, model.h, model.q, model.core = w, h, q, core
+        new_objective = model.objective(x)
         if not np.isfinite(new_objective):
             raise FloatingPointError(
                 f"non-finite objective at outer iteration {iteration}"
@@ -182,7 +182,6 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
         objective = new_objective
         if improvement < cfg.outer_tolerance * max(objective, 1e-300):
             break
-    model.w, model.h, model.q, model.core = w, h, q, core
     return normalize(model)
 
 

@@ -224,6 +224,10 @@ def synth_song(
             raise ValueError(f"pattern index {idx} out of range")
 
     n_pc, frames = patterns[0].shape
+    if n_pc == 0 or frames == 0:
+        raise ValueError(
+            f"patterns need at least one pitch class and one frame, got shape {(n_pc, frames)}"
+        )
     n_bars = len(bar_assignment)
     rng = np.random.default_rng(seed)
     tensor = np.zeros((n_pc, frames, n_bars))

@@ -4,8 +4,8 @@ Two solvers back the alternating Tucker updates, both in normal-equation
 (Gram) form, so neither touches the data tensor: an accelerated
 hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and a
 projected gradient method with a Lipschitz step for the core tensor, which
-reads the three factor Grams, the data projected onto the factors and the
-data's squared norm.
+reads the three factor Grams and the data projected onto the factors.
+Both stop by the rule of `SolverConfig`; neither evaluates an objective.
 """
 from __future__ import annotations
 
@@ -39,6 +39,12 @@ class NnlsProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of both solvers (Gillis & Glineur 2012): stop after
+    `max_inner_iters` iterations (HALS sweeps or core steps), or once an
+    iteration moves the iterate by at most `inner_tolerance` times the
+    first iteration's move, in Frobenius norm. `acceleration_budget` caps
+    HALS sweeps at ``ceil(budget * (1 + rank))``; the core does not read it."""
+
     max_inner_iters: int = 100
     inner_tolerance: float = 1e-8
     acceleration_budget: float = 0.5
@@ -109,17 +115,16 @@ def hals_nnls(
 def core_prox_gradient(
     grams: tuple[np.ndarray, np.ndarray, np.ndarray],
     cross: np.ndarray,
-    x_sq: float,
     g0: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
 ) -> np.ndarray:
     """Projected gradient update of the nonnegative core tensor.
 
     Minimises ``||X - G x0 W x1 H x2 Q||_F^2`` over ``G >= 0`` from
-    ``grams = (W.T W, H.T H, Q.T Q)``, ``cross = X x0 W.T x1 H.T x2 Q.T``
-    and ``x_sq = ||X||_F^2``. Each iteration steps along the gradient with
-    step ``1/L``, ``L`` being the product of the largest eigenvalues of the
-    three Grams, then clips at zero.
+    ``grams = (W.T W, H.T H, Q.T Q)`` and ``cross = X x0 W.T x1 H.T x2 Q.T``.
+    Each iteration steps along the gradient with step ``1/L``, ``L`` being
+    the product of the largest eigenvalues of the three Grams, then clips
+    at zero, until the `SolverConfig` rule stops it.
     """
     expected = cross.shape
     if g0.shape != expected:
@@ -128,8 +133,6 @@ def core_prox_gradient(
         raise ValueError(f"factor Grams do not match cross shape {expected}")
     if not (np.isfinite(cross).all() and all(np.isfinite(g).all() for g in grams)):
         raise ValueError("non-finite entries in core problem")
-    if not math.isfinite(x_sq):
-        raise ValueError("x_sq is not finite")
     if not np.isfinite(g0).all():
         raise ValueError("g0 has non-finite entries")
 
@@ -139,33 +142,24 @@ def core_prox_gradient(
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
     step = 1.0 / lipschitz
 
-    partial = np.empty(expected)
-    product = np.empty(expected)
-
-    def gram_image(g, out):
-        g = (gram_w @ g.reshape(expected[0], -1)).reshape(expected)
-        np.matmul(gram_h, g, out=partial)
-        return np.matmul(partial, gram_q.T, out=out)
-
-    def objective(g, image):
-        cross_term = float(np.add.reduce(np.multiply(cross, g, out=product), axis=None))
-        image_term = float(np.add.reduce(np.multiply(g, image, out=product), axis=None))
-        return x_sq - 2.0 * cross_term + image_term
-
     g = np.maximum(np.asarray(g0, dtype=float), 0.0, out=np.empty(expected))
     g_next = np.empty(expected)
-    image = gram_image(g, np.empty(expected))
-    obj = objective(g, image)
+    partial = np.empty(expected)
+    image = np.empty(expected)
+    first_delta = None
     for _ in range(cfg.max_inner_iters):
+        # image = G x0 (W.T W) x1 (H.T H) x2 (Q.T Q)
+        np.matmul(gram_h, (gram_w @ g.reshape(expected[0], -1)).reshape(expected), out=partial)
+        np.matmul(partial, gram_q.T, out=image)
         # g_next = max(0, g - step * (image - cross))
         np.subtract(image, cross, out=g_next)
         np.multiply(step, g_next, out=g_next)
         np.subtract(g, g_next, out=g_next)
         np.maximum(0.0, g_next, out=g_next)
-        gram_image(g_next, image)
-        obj_next = objective(g_next, image)
-        improvement = obj - obj_next
-        g, g_next, obj = g_next, g, obj_next
-        if improvement <= cfg.inner_tolerance * max(abs(obj), 1e-300):
+        delta = float(np.linalg.norm(g_next - g))
+        g, g_next = g_next, g
+        if first_delta is None:
+            first_delta = delta
+        if delta <= cfg.inner_tolerance * first_delta:
             break
     return g

@@ -165,6 +165,22 @@ def test_synth_zero_pattern_count_rejected(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_synth_zero_frames_per_bar_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix, **{"frames-per-bar": 0})) == 1
+    assert ("patterns need at least one pitch class and one frame, got shape (6, 0)"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_synth_zero_pitch_classes_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix, **{"pitch-classes": 0})) == 1
+    assert ("patterns need at least one pitch class and one frame, got shape (0, 8)"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_evaluate_bad_tolerance_writes_nothing(tmp_path, capsys):
     prefix = tmp_path / "song"
     assert run(*synth_args(prefix)) == 0

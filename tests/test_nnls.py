@@ -90,17 +90,18 @@ def hals_nnls_loop(
 
 
 def core_problem_from_data(x, w, h, q):
-    """``(grams, cross, x_sq)`` of the core step for data `x` and factors."""
+    """``(grams, cross)`` of the core step for data `x` and factors."""
     grams = (w.T @ w, h.T @ h, q.T @ q)
     cross = mode_product(mode_product(mode_product(x, w.T, 0), h.T, 1), q.T, 2)
-    return grams, cross, float(np.sum(x * x))
+    return grams, cross
 
 
 def core_prox_gradient_loop(
-    grams, cross: np.ndarray, x_sq: float, g0: np.ndarray, cfg: SolverConfig = SolverConfig()
+    grams, cross: np.ndarray, g0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> np.ndarray:
     """Oracle: the projected gradient core loop with three checked mode
-    products per Gram image."""
+    products per Gram image and one fresh array per step. It stops once a
+    step moves G by at most `inner_tolerance` times the first step's move."""
     if g0.shape != cross.shape:
         raise ValueError(f"core shape {g0.shape} does not match cross shape {cross.shape}")
 
@@ -117,17 +118,14 @@ def core_prox_gradient_loop(
         return mode_product(out, grams[2], 2)
 
     g = np.maximum(np.asarray(g0, dtype=float), 0.0)
-    image = gram_image(g)
-    obj = x_sq - 2.0 * float(np.sum(cross * g)) + float(np.sum(g * image))
+    first_delta = None
     for _ in range(cfg.max_inner_iters):
-        g_next = np.maximum(0.0, g - step * (image - cross))
-        image = gram_image(g_next)
-        obj_next = x_sq - 2.0 * float(np.sum(cross * g_next)) + float(
-            np.sum(g_next * image)
-        )
-        improvement = obj - obj_next
-        g, obj = g_next, obj_next
-        if improvement <= cfg.inner_tolerance * max(abs(obj), 1e-300):
+        g_next = np.maximum(0.0, g - step * (gram_image(g) - cross))
+        delta = math.sqrt(float(np.sum((g_next - g) ** 2)))
+        g = g_next
+        if first_delta is None:
+            first_delta = delta
+        if delta <= cfg.inner_tolerance * first_delta:
             break
     return g
 
@@ -280,20 +278,41 @@ class TestCoreProxGradient:
             assert after <= before + 1e-12
             assert np.all(g >= 0)
 
+    def test_stops_at_first_small_move(self):
+        rng = np.random.default_rng(10)
+        w, h, q = rng.random((5, 2)), rng.random((6, 3)), rng.random((7, 2))
+        grams, cross = core_problem_from_data(rng.random((5, 6, 7)), w, h, q)
+        g0 = rng.random((2, 3, 2))
+        # path[k] is the iterate after k steps of a run that never stops early
+        path = [g0]
+        for k in range(1, 31):
+            cfg = SolverConfig(max_inner_iters=k, inner_tolerance=0.0)
+            path.append(core_prox_gradient(grams, cross, g0, cfg))
+        # ratios[k - 1] is step k's move over the first step's move
+        moves = [np.linalg.norm(b - a) for a, b in zip(path, path[1:])]
+        ratios = [m / moves[0] for m in moves]
+        stop = 6
+        assert min(ratios[: stop - 1]) > ratios[stop - 1]
+        # a tolerance that step `stop` meets first, clear of rounding
+        tolerance = 0.5 * (ratios[stop - 1] + min(ratios[: stop - 1]))
+        cfg = SolverConfig(max_inner_iters=30, inner_tolerance=tolerance)
+        assert_same_bits(core_prox_gradient(grams, cross, g0, cfg), path[stop])
+
     @pytest.mark.parametrize(
         "bad, message",
-        [("cross", "^non-finite entries in core problem"), ("x_sq", "^x_sq is not finite")],
+        [("cross", "^non-finite entries in core problem"),
+         ("gram", "^non-finite entries in core problem")],
     )
     def test_non_finite_problem_rejected(self, bad, message):
         rng = np.random.default_rng(8)
         factors = [rng.random((d, r)) for d, r in zip((4, 5, 6), (2, 3, 2))]
-        grams, cross, x_sq = core_problem_from_data(rng.random((4, 5, 6)), *factors)
+        grams, cross = core_problem_from_data(rng.random((4, 5, 6)), *factors)
         if bad == "cross":
             cross[0, 1, 1] = np.inf
         else:
-            x_sq = np.inf
+            grams[1][0, 2] = np.nan
         with pytest.raises(ValueError, match=message):
-            core_prox_gradient(grams, cross, x_sq, rng.random((2, 3, 2)))
+            core_prox_gradient(grams, cross, rng.random((2, 3, 2)))
 
     def test_non_finite_g0_rejected(self):
         rng = np.random.default_rng(9)
