@@ -148,6 +148,10 @@ def _cmd_sweep(args) -> None:
 def _cmd_synth(args) -> None:
     if args.pattern_count < 1:
         raise ValueError(f"--pattern-count must be at least 1, got {args.pattern_count}")
+    for flag, value in (("--pitch-classes", args.pitch_classes),
+                        ("--frames-per-bar", args.frames_per_bar)):
+        if value < 0:
+            raise ValueError(f"{flag} must not be negative, got {value}")
     rng = np.random.default_rng(args.seed)
     patterns = [
         rng.uniform(0.0, 1.0, (args.pitch_classes, args.frames_per_bar))

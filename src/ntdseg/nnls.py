@@ -6,6 +6,12 @@ hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and a
 projected gradient method with a Lipschitz step for the core tensor, which
 reads the three factor Grams and the data projected onto the factors.
 Both stop by the rule of `SolverConfig`; neither evaluates an objective.
+
+The core step runs on the live sub-core only: a slice whose factor has a
+zero column (zero Gram row and column, zero cross slice) has zero gradient
+and adds nothing to the other slices, so it keeps its start value exactly.
+HALS still sweeps a row that is all zero, because a dead component can
+come back to life in a later sweep.
 """
 from __future__ import annotations
 
@@ -66,7 +72,7 @@ def hals_nnls(
     Sweeps exact coordinate-block updates over the rows of Z (one row per
     column of A), repeating sweeps while the iterate still moves, up to a
     work budget proportional to the sweep cost. Each row moves to the
-    exact minimiser of its block, so a row that updates to all zeros stays
+    exact minimiser of its block, so a row that updates to all zeros is
     exactly zero and no update increases the objective. Never returns
     negative entries.
     """
@@ -89,22 +95,21 @@ def hals_nnls(
         if row[0] > 0.0
     ]
     new = np.empty(z.shape[1])
-    change = np.empty(z.shape[1])
+    # z at the start of the sweep, then the sweep's move
+    move = np.empty(z.shape)
+    flat_move = move.reshape(-1)
     first_delta = None
     for _ in range(max_sweeps):
-        delta = 0.0
+        np.copyto(move, z)
         for denom, gram_row, cross_row, z_row in rows:
-            # new = max(0, z_row + (cross_row - gram_row @ z) / denom)
+            # z_row = max(0, z_row + (cross_row - gram_row @ z) / denom)
             np.matmul(gram_row, z, out=new)
             np.subtract(cross_row, new, out=new)
             np.divide(new, denom, out=new)
             np.add(z_row, new, out=new)
-            np.maximum(0.0, new, out=new)
-            np.subtract(new, z_row, out=change)
-            np.multiply(change, change, out=change)
-            delta += float(np.add.reduce(change))
-            z_row[...] = new
-        delta = math.sqrt(delta)
+            np.maximum(0.0, new, out=z_row)
+        np.subtract(z, move, out=move)
+        delta = math.sqrt(flat_move.dot(flat_move))
         if first_delta is None:
             first_delta = delta
         if delta <= cfg.inner_tolerance * first_delta:
@@ -136,27 +141,52 @@ def core_prox_gradient(
     if not np.isfinite(g0).all():
         raise ValueError("g0 has non-finite entries")
 
-    gram_w, gram_h, gram_q = grams
     lipschitz = math.prod(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
     if lipschitz <= 0.0:
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
     step = 1.0 / lipschitz
 
     g = np.maximum(np.asarray(g0, dtype=float), 0.0, out=np.empty(expected))
-    g_next = np.empty(expected)
-    partial = np.empty(expected)
-    image = np.empty(expected)
+    # A slice whose Gram row, Gram column and cross slice are all zero has
+    # zero gradient and adds nothing to any other slice's Gram image, so it
+    # keeps its value and the steps run on the live sub-core alone.
+    live = [
+        np.flatnonzero(
+            gram.any(axis=0) | gram.any(axis=1)
+            | cross.any(axis=tuple(other for other in range(3) if other != mode))
+        )
+        for mode, gram in enumerate(grams)
+    ]
+    if all(len(i) == r for i, r in zip(live, expected)):
+        return _prox_steps(grams, cross, g, step, cfg)
+    index = np.ix_(*live)
+    live_grams = tuple(gram[np.ix_(i, i)] for gram, i in zip(grams, live))
+    g[index] = _prox_steps(live_grams, cross[index], g[index], step, cfg)
+    return g
+
+
+def _prox_steps(grams, cross, g, step, cfg):
+    """The projected gradient steps of `core_prox_gradient` from ``g >= 0``,
+    which they overwrite."""
+    gram_w, gram_h, gram_q = grams
+    shape = cross.shape
+    g_next = np.empty(shape)
+    partial = np.empty(shape)
+    image = np.empty(shape)
+    move = np.empty(shape)
+    flat_move = move.reshape(-1)
     first_delta = None
     for _ in range(cfg.max_inner_iters):
         # image = G x0 (W.T W) x1 (H.T H) x2 (Q.T Q)
-        np.matmul(gram_h, (gram_w @ g.reshape(expected[0], -1)).reshape(expected), out=partial)
+        np.matmul(gram_h, (gram_w @ g.reshape(shape[0], -1)).reshape(shape), out=partial)
         np.matmul(partial, gram_q.T, out=image)
         # g_next = max(0, g - step * (image - cross))
         np.subtract(image, cross, out=g_next)
         np.multiply(step, g_next, out=g_next)
         np.subtract(g, g_next, out=g_next)
         np.maximum(0.0, g_next, out=g_next)
-        delta = float(np.linalg.norm(g_next - g))
+        np.subtract(g_next, g, out=move)
+        delta = math.sqrt(flat_move.dot(flat_move))
         g, g_next = g_next, g
         if first_delta is None:
             first_delta = delta

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ntdseg.cli import main
 from ntdseg.decomposition import NtdModel
@@ -193,3 +194,11 @@ def test_evaluate_bad_tolerance_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert "tolerance must be a positive finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["pitch-classes", "frames-per-bar"])
+def test_synth_negative_dimension_rejected(tmp_path, capsys, flag):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix, **{flag: -1})) == 1
+    assert f"--{flag} must not be negative, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

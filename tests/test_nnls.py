@@ -197,6 +197,25 @@ class TestHalsNnls:
         assert z[1, 0] == 0.0
         assert_same_bits(z, np.array([[2.0], [0.0]]))
 
+    def test_stops_at_first_small_sweep(self):
+        rng = np.random.default_rng(11)
+        problem = random_problem(rng, r=4, rows=8, cols=5)
+        z0 = rng.random(problem.cross.shape)
+        # path[k] is the iterate after k sweeps of a run that never stops early
+        path = [z0]
+        for k in range(1, 31):
+            cfg = SolverConfig(max_inner_iters=k, inner_tolerance=0.0, acceleration_budget=1e6)
+            path.append(hals_nnls(problem, z0, cfg))
+        # ratios[k - 1] is sweep k's move over the first sweep's move
+        moves = [np.linalg.norm(b - a) for a, b in zip(path, path[1:])]
+        ratios = [m / moves[0] for m in moves]
+        stop = 6
+        assert min(ratios[: stop - 1]) > ratios[stop - 1] > 0.0
+        # a tolerance that sweep `stop` meets first, clear of rounding
+        tolerance = 0.5 * (ratios[stop - 1] + min(ratios[: stop - 1]))
+        cfg = SolverConfig(max_inner_iters=30, inner_tolerance=tolerance, acceleration_budget=1e6)
+        assert_same_bits(hals_nnls(problem, z0, cfg), path[stop])
+
     def test_dimension_mismatch(self):
         problem = problem_from_data(np.eye(2), np.ones((2, 3)))
         with pytest.raises(ValueError):
@@ -401,6 +420,61 @@ class TestFastLoopsMatchOracles:
             core_prox_gradient(*problem, g0, cfg),
             core_prox_gradient_loop(*problem, g0, cfg),
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 48), st.integers(1, 48)),
+        general_w=st.booleans(),
+        dead_fraction=st.sampled_from([0.3, 0.9]),
+        tolerance=st.sampled_from([0.0, 0.5, 1e-8]),
+        iters=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_core_dead_slices(self, dims, general_w, dead_fraction, tolerance, iters, seed):
+        rng = np.random.default_rng(seed)
+        f, t, b = dims
+        ranks = (
+            int(rng.integers(1, f + 1)) if general_w else f,
+            int(rng.integers(1, t + 1)),
+            int(rng.integers(1, b + 1)),
+        )
+        factors = [rng.random((f, ranks[0])) if general_w else np.eye(f),
+                   rng.random((t, ranks[1])), rng.random((b, ranks[2]))]
+        dead = []
+        for mode, factor in enumerate(factors):
+            columns = rng.random(ranks[mode]) < dead_fraction
+            columns[rng.integers(ranks[mode])] = False  # a zero factor has no step
+            if mode == 0 and not general_w:
+                columns[:] = False
+            factor[:, columns] = 0.0  # zero Gram row and column, zero cross slices
+            dead.append(columns)
+        x = rng.random(dims) * (rng.random(dims) < 0.8)
+        g0 = rng.random(ranks) - 0.3
+        cfg = SolverConfig(max_inner_iters=iters, inner_tolerance=tolerance)
+        problem = core_problem_from_data(x, *factors)
+        fast = core_prox_gradient(*problem, g0, cfg)
+        slow = core_prox_gradient_loop(*problem, g0, cfg)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.abs(slow).max())
+        for mode, columns in enumerate(dead):
+            index = (slice(None),) * mode + (columns,)
+            assert_same_bits(fast[index], np.maximum(g0, 0.0)[index])
+
+    @pytest.mark.parametrize("fix_w", [False, True])
+    def test_whole_decompose_components_die(self, monkeypatch, fix_w):
+        rng = np.random.default_rng(21)
+        # 20 bars, each one of 3 patterns: most of 16 bar components die
+        patterns = rng.random((3, 12, 16))
+        x = patterns[rng.integers(0, 3, 20)].transpose(1, 2, 0) + 0.01 * rng.random((12, 16, 20))
+        ranks = NtdRanks(12 if fix_w else 5, 6, 16)
+        cfg = NtdConfig(max_outer_iters=25, fix_w_to_identity=fix_w)
+        assert not (decomposition.initialize(x, ranks, cfg).q == 0.0).all(axis=0).any()
+        fast = decompose(x, ranks, cfg)
+        assert (fast.q == 0.0).all(axis=0).sum() >= 5
+        monkeypatch.setattr(decomposition, "hals_nnls", hals_nnls_loop)
+        monkeypatch.setattr(decomposition, "core_prox_gradient", core_prox_gradient_loop)
+        slow = decompose(x, ranks, cfg)
+        assert len(fast.objective_trace) == len(slow.objective_trace)
+        np.testing.assert_allclose(fast.objective_trace, slow.objective_trace, rtol=1e-12)
 
     @pytest.mark.parametrize("fix_w", [False, True])
     @pytest.mark.parametrize("layout", ["contiguous", "fortran"])
