@@ -146,8 +146,10 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    if args.pattern_count < 1:
-        raise ValueError(f"--pattern-count must be at least 1, got {args.pattern_count}")
+    for flag, value in (("--pattern-count", args.pattern_count), ("--blocks", args.blocks),
+                        ("--block-bars", args.block_bars)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     for flag, value in (("--pitch-classes", args.pitch_classes),
                         ("--frames-per-bar", args.frames_per_bar)):
         if value < 0:

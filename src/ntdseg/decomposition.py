@@ -8,7 +8,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .nnls import NnlsProblem, core_prox_gradient, hals_nnls
+from .nnls import core_prox_gradient, hals_nnls
 from .tensor_ops import mode_product, reconstruct, truncated_hosvd
 
 
@@ -116,8 +116,8 @@ def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> 
 
 def _factor_problem(
     projected: np.ndarray, core: np.ndarray, grams: list[np.ndarray], mode: int
-) -> NnlsProblem:
-    """Gram-form NNLS subproblem for the factor on `mode`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-form NNLS subproblem ``(gram, cross)`` for the factor on `mode`.
 
     `projected` is the data contracted with the transposed factors on the
     other two modes, and `grams` holds every factor's Gram. The unknown is
@@ -130,7 +130,7 @@ def _factor_problem(
         core_image = mode_product(core_image, grams[i], i)
     gram = np.tensordot(core, core_image, axes=(others, others))
     cross = np.tensordot(core, projected, axes=(others, others))
-    return NnlsProblem(gram=gram, cross=cross)
+    return gram, cross
 
 
 def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> NtdModel:
@@ -161,13 +161,13 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
     for iteration in range(cfg.max_outer_iters):
         if not cfg.fix_w_to_identity:
             xhq = mode_product(mode_product(x, h.T, 1), q.T, 2)
-            w = hals_nnls(_factor_problem(xhq, core, grams, 0), w.T).T
+            w = hals_nnls(*_factor_problem(xhq, core, grams, 0), w.T).T
             grams[0] = w.T @ w
             xw = mode_product(x, w.T, 0)
-        h = hals_nnls(_factor_problem(mode_product(xw, q.T, 2), core, grams, 1), h.T).T
+        h = hals_nnls(*_factor_problem(mode_product(xw, q.T, 2), core, grams, 1), h.T).T
         grams[1] = h.T @ h
         xwh = mode_product(xw, h.T, 1)
-        q = hals_nnls(_factor_problem(xwh, core, grams, 2), q.T).T
+        q = hals_nnls(*_factor_problem(xwh, core, grams, 2), q.T).T
         grams[2] = q.T @ q
         core = core_prox_gradient(tuple(grams), mode_product(xwh, q.T, 2), core)
 

@@ -5,7 +5,8 @@ Two solvers back the alternating Tucker updates, both in normal-equation
 hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and a
 projected gradient method with a Lipschitz step for the core tensor, which
 reads the three factor Grams and the data projected onto the factors.
-Both stop by the rule of `SolverConfig`; neither evaluates an objective.
+Both take plain arrays and check their shapes and finiteness first; both
+stop by the rule of `SolverConfig`, and neither evaluates an objective.
 
 The core step runs on the live sub-core only: a slice whose factor has a
 zero column (zero Gram row and column, zero cross slice) has zero gradient
@@ -20,27 +21,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NnlsProblem:
-    """``min_{Z>=0} ||Y - A Z||_F^2`` reduced to Gram form.
-
-    ``gram = A.T A`` and ``cross = A.T Y``. Up to the constant
-    ``||Y||_F^2`` the objective is ``<Z, gram Z> - 2 <cross, Z>``, so the
-    solver never touches the (possibly long) data matrices.
-    """
-
-    gram: np.ndarray
-    cross: np.ndarray
-
-    def __post_init__(self):
-        if self.gram.shape[0] != self.gram.shape[1]:
-            raise ValueError("gram matrix must be square")
-        if self.cross.shape[0] != self.gram.shape[0]:
-            raise ValueError("gram/cross row mismatch")
-        if not (np.isfinite(self.gram).all() and np.isfinite(self.cross).all()):
-            raise ValueError("non-finite entries in NNLS problem")
 
 
 @dataclass(frozen=True)
@@ -65,9 +45,16 @@ class SolverConfig:
 
 
 def hals_nnls(
-    problem: NnlsProblem, z0: np.ndarray, cfg: SolverConfig = SolverConfig()
+    gram: np.ndarray,
+    cross: np.ndarray,
+    z0: np.ndarray,
+    cfg: SolverConfig = SolverConfig(),
 ) -> np.ndarray:
-    """Accelerated HALS for the matrix NNLS problem.
+    """Accelerated HALS for ``min_{Z>=0} ||Y - A Z||_F^2`` in Gram form.
+
+    Reads ``gram = A.T A`` and ``cross = A.T Y``: up to the constant
+    ``||Y||_F^2`` the objective is ``<Z, gram Z> - 2 <cross, Z>``, so the
+    solver never touches the (possibly long) data matrices.
 
     Sweeps exact coordinate-block updates over the rows of Z (one row per
     column of A), repeating sweeps while the iterate still moves, up to a
@@ -76,13 +63,19 @@ def hals_nnls(
     exactly zero and no update increases the objective. Never returns
     negative entries.
     """
+    r = cross.shape[0]
+    if gram.shape != (r, r):
+        raise ValueError(
+            f"gram shape {gram.shape} is not ({r}, {r}) for cross shape {cross.shape}"
+        )
+    if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
+        raise ValueError("non-finite entries in NNLS problem")
     z = np.array(z0, dtype=float)
-    if z.shape != problem.cross.shape:
-        raise ValueError(f"z0 shape {z.shape} does not match cross shape {problem.cross.shape}")
+    if z.shape != cross.shape:
+        raise ValueError(f"z0 shape {z.shape} does not match cross shape {cross.shape}")
     if not np.isfinite(z).all():
         raise ValueError("non-finite entries in z0")
 
-    r = problem.gram.shape[0]
     max_sweeps = min(
         cfg.max_inner_iters, max(1, math.ceil(cfg.acceleration_budget * (1 + r)))
     )
@@ -91,7 +84,7 @@ def hals_nnls(
     # diagonal entry is never updated.
     rows = [
         row
-        for row in zip(problem.gram.diagonal().tolist(), problem.gram, problem.cross, z)
+        for row in zip(gram.diagonal().tolist(), gram, cross, z)
         if row[0] > 0.0
     ]
     new = np.empty(z.shape[1])
@@ -157,8 +150,6 @@ def core_prox_gradient(
         )
         for mode, gram in enumerate(grams)
     ]
-    if all(len(i) == r for i, r in zip(live, expected)):
-        return _prox_steps(grams, cross, g, step, cfg)
     index = np.ix_(*live)
     live_grams = tuple(gram[np.ix_(i, i)] for gram, i in zip(grams, live))
     g[index] = _prox_steps(live_grams, cross[index], g[index], step, cfg)

@@ -77,7 +77,7 @@ def test_criterion_4_nnls_kkt():
         y = rng.standard_normal((6, 3))
         problem = problem_from_data(a, y)
         z0 = np.abs(rng.standard_normal((r, 3)))
-        z = hals_nnls(problem, z0, TIGHT)
+        z = hals_nnls(*problem, z0, TIGHT)
         grad = gradient(problem, z)
         zero = z <= 1e-10 * max(z.max(), 1.0)
         assert np.all(grad[zero] >= -1e-6)

@@ -103,6 +103,20 @@ def test_zero_rank_step_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_rank_range_rejected(tmp_path, capsys):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix)) == 0
+    out = tmp_path / "sweep.tsv"
+    code = run(
+        "sweep", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
+        "--reference", f"{prefix}.ref.txt", "--frames-per-bar", "8",
+        "--rank-min", "50", "--rank-max", "12", "--out", str(out),
+    )
+    assert code == 1
+    assert "lowest rank 50 exceeds highest rank 12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_reports_path(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code = run(
@@ -159,10 +173,12 @@ def test_synth_infinite_noise_rejected(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_synth_zero_pattern_count_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("flag", ["pattern-count", "blocks", "block-bars"])
+def test_synth_zero_pattern_count_rejected(tmp_path, capsys, flag, value):
     prefix = tmp_path / "song"
-    assert run(*synth_args(prefix, **{"pattern-count": 0})) == 1
-    assert "--pattern-count must be at least 1, got 0" in capsys.readouterr().err
+    assert run(*synth_args(prefix, **{flag: value})) == 1
+    assert f"--{flag} must be at least 1, got {value}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -15,7 +15,7 @@ from ntdseg.decomposition import (
     normalize,
     parameter_count,
 )
-from ntdseg.nnls import NnlsProblem, core_prox_gradient, hals_nnls
+from ntdseg.nnls import core_prox_gradient, hals_nnls
 from ntdseg.tensor_ops import mode_product, reconstruct
 
 from test_nnls import core_problem_from_data
@@ -46,11 +46,9 @@ def decompose_parent_loop(x, ranks, cfg=NtdConfig()):
             for i in others:
                 projected = mode_product(projected, factors[i].T, i)
                 core_image = mode_product(core_image, factors[i].T @ factors[i], i)
-            problem = NnlsProblem(
-                gram=np.tensordot(core, core_image, axes=(others, others)),
-                cross=np.tensordot(core, projected, axes=(others, others)),
-            )
-            factors[mode] = hals_nnls(problem, factors[mode].T).T
+            gram = np.tensordot(core, core_image, axes=(others, others))
+            cross = np.tensordot(core, projected, axes=(others, others))
+            factors[mode] = hals_nnls(gram, cross, factors[mode].T).T
         core = core_prox_gradient(*core_problem_from_data(x, *factors), core)
         new_objective = float(np.linalg.norm(x - reconstruct(core, *factors))) ** 2
         model.objective_trace.append(new_objective)

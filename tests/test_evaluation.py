@@ -152,6 +152,10 @@ class TestRankSweep:
         with pytest.raises(ValueError, match="rank step must be positive"):
             default_rank_grid(12, 48, step)
 
+    def test_empty_rank_range_rejected(self):
+        with pytest.raises(ValueError, match="^lowest rank 50 exceeds highest rank 12$"):
+            default_rank_grid(50, 12)
+
     def test_empty_grid_rejected(self):
         x, bars, ref = make_tiny_song()
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,10 +10,18 @@ from hypothesis import strategies as st
 
 from ntdseg import decomposition
 from ntdseg.decomposition import NtdConfig, NtdRanks, decompose
-from ntdseg.nnls import NnlsProblem, SolverConfig, core_prox_gradient, hals_nnls
+from ntdseg.nnls import SolverConfig, core_prox_gradient, hals_nnls
 from ntdseg.tensor_ops import mode_product, reconstruct
 
 TIGHT = SolverConfig(max_inner_iters=1000, inner_tolerance=1e-15, acceleration_budget=1e6)
+
+
+class NnlsProblem(NamedTuple):
+    """``gram = A.T A`` and ``cross = A.T Y``; ``hals_nnls(*problem, z0)``
+    unpacks it."""
+
+    gram: np.ndarray
+    cross: np.ndarray
 
 
 def problem_from_data(a: np.ndarray, y: np.ndarray) -> NnlsProblem:
@@ -56,16 +66,16 @@ def active_set_oracle(problem: NnlsProblem) -> np.ndarray:
 
 
 def hals_nnls_loop(
-    problem: NnlsProblem, z0: np.ndarray, cfg: SolverConfig = SolverConfig()
+    gram: np.ndarray, cross: np.ndarray, z0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> np.ndarray:
     """Oracle: the HALS row loop written with one fresh array per step."""
     z = np.array(z0, dtype=float)
-    if z.shape != problem.cross.shape:
-        raise ValueError(f"z0 shape {z.shape} does not match cross shape {problem.cross.shape}")
+    if z.shape != cross.shape:
+        raise ValueError(f"z0 shape {z.shape} does not match cross shape {cross.shape}")
     if not np.isfinite(z).all():
         raise ValueError("non-finite entries in z0")
 
-    r = problem.gram.shape[0]
+    r = gram.shape[0]
     max_sweeps = min(
         cfg.max_inner_iters, max(1, math.ceil(cfg.acceleration_budget * (1 + r)))
     )
@@ -73,12 +83,10 @@ def hals_nnls_loop(
     for _ in range(max_sweeps):
         delta = 0.0
         for j in range(r):
-            denom = problem.gram[j, j]
+            denom = gram[j, j]
             if denom <= 0.0:
                 continue
-            row = np.maximum(
-                0.0, z[j] + (problem.cross[j] - problem.gram[j] @ z) / denom
-            )
+            row = np.maximum(0.0, z[j] + (cross[j] - gram[j] @ z) / denom)
             delta += float(np.sum((row - z[j]) ** 2))
             z[j] = row
         delta = math.sqrt(delta)
@@ -146,18 +154,18 @@ def random_problem(rng, r=None, rows=6, cols=3):
 class TestHalsNnls:
     def test_identity_clamps_negative_component(self):
         problem = problem_from_data(np.eye(2), np.array([[2.0], [-3.0]]))
-        z = hals_nnls(problem, np.zeros((2, 1)), TIGHT)
+        z = hals_nnls(*problem, np.zeros((2, 1)), TIGHT)
         np.testing.assert_allclose(z, [[2.0], [0.0]], atol=1e-12)
 
     def test_interior_solution(self):
         problem = problem_from_data(np.array([[1.0], [1.0]]), np.array([[1.0], [3.0]]))
-        z = hals_nnls(problem, np.zeros((1, 1)), TIGHT)
+        z = hals_nnls(*problem, np.zeros((1, 1)), TIGHT)
         np.testing.assert_allclose(z, [[2.0]], atol=1e-12)
 
     def test_fixed_point(self):
         problem = problem_from_data(np.eye(2), np.array([[2.0], [-3.0]]))
         z_star = np.array([[2.0], [0.0]])
-        z = hals_nnls(problem, z_star, TIGHT)
+        z = hals_nnls(*problem, z_star, TIGHT)
         np.testing.assert_allclose(z, z_star, atol=1e-12)
 
     def test_never_negative(self):
@@ -165,7 +173,7 @@ class TestHalsNnls:
         for _ in range(30):
             problem = random_problem(rng)
             z0 = np.abs(rng.standard_normal(problem.cross.shape))
-            z = hals_nnls(problem, z0, SolverConfig())
+            z = hals_nnls(*problem, z0, SolverConfig())
             assert np.all(z >= 0)
 
     def test_monotone(self):
@@ -173,7 +181,7 @@ class TestHalsNnls:
         for _ in range(30):
             problem = random_problem(rng)
             z0 = np.abs(rng.standard_normal(problem.cross.shape))
-            z = hals_nnls(problem, z0, SolverConfig())
+            z = hals_nnls(*problem, z0, SolverConfig())
             assert objective(problem, z) <= objective(problem, z0) + 1e-12
 
     def test_kkt_and_oracle_objective(self):
@@ -181,7 +189,7 @@ class TestHalsNnls:
         for _ in range(100):
             problem = random_problem(rng, r=int(rng.integers(1, 5)))
             z0 = np.abs(rng.standard_normal(problem.cross.shape))
-            z = hals_nnls(problem, z0, TIGHT)
+            z = hals_nnls(*problem, z0, TIGHT)
             grad = gradient(problem, z)
             tol = 1e-6 * (1.0 + np.abs(problem.cross).max())
             # entries below 1e-10 of max(z.max(), 1) count as zero
@@ -193,7 +201,7 @@ class TestHalsNnls:
 
     def test_row_updating_to_zero_stays_exactly_zero(self):
         problem = problem_from_data(np.eye(2), np.array([[2.0], [-3.0]]))
-        z = hals_nnls(problem, np.ones((2, 1)), SolverConfig())
+        z = hals_nnls(*problem, np.ones((2, 1)), SolverConfig())
         assert z[1, 0] == 0.0
         assert_same_bits(z, np.array([[2.0], [0.0]]))
 
@@ -205,7 +213,7 @@ class TestHalsNnls:
         path = [z0]
         for k in range(1, 31):
             cfg = SolverConfig(max_inner_iters=k, inner_tolerance=0.0, acceleration_budget=1e6)
-            path.append(hals_nnls(problem, z0, cfg))
+            path.append(hals_nnls(*problem, z0, cfg))
         # ratios[k - 1] is sweep k's move over the first sweep's move
         moves = [np.linalg.norm(b - a) for a, b in zip(path, path[1:])]
         ratios = [m / moves[0] for m in moves]
@@ -214,16 +222,30 @@ class TestHalsNnls:
         # a tolerance that sweep `stop` meets first, clear of rounding
         tolerance = 0.5 * (ratios[stop - 1] + min(ratios[: stop - 1]))
         cfg = SolverConfig(max_inner_iters=30, inner_tolerance=tolerance, acceleration_budget=1e6)
-        assert_same_bits(hals_nnls(problem, z0, cfg), path[stop])
+        assert_same_bits(hals_nnls(*problem, z0, cfg), path[stop])
 
-    def test_dimension_mismatch(self):
-        problem = problem_from_data(np.eye(2), np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            hals_nnls(problem, np.zeros((3, 3)), TIGHT)
+    @pytest.mark.parametrize(
+        "gram_shape, z0_shape, message",
+        [
+            ((2, 3), (2, 3), "gram shape (2, 3) is not (2, 2) for cross shape (2, 3)"),
+            ((3, 3), (2, 3), "gram shape (3, 3) is not (2, 2) for cross shape (2, 3)"),
+            ((2, 2), (3, 3), "z0 shape (3, 3) does not match cross shape (2, 3)"),
+        ],
+        ids=["non-square-gram", "row-mismatch", "z0-shape"],
+    )
+    def test_dimension_mismatch(self, gram_shape, z0_shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hals_nnls(np.eye(*gram_shape), np.ones((2, 3)), np.zeros(z0_shape), TIGHT)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            NnlsProblem(np.array([[np.nan]]), np.array([[1.0]]))
+    @pytest.mark.parametrize("bad", ["gram", "cross"], ids=["nan-in-gram", "inf-in-cross"])
+    def test_non_finite_rejected(self, bad):
+        gram, cross = problem_from_data(np.eye(2), np.ones((2, 3)))
+        if bad == "gram":
+            gram[1, 0] = np.nan
+        else:
+            cross[0, 2] = np.inf
+        with pytest.raises(ValueError, match="^non-finite entries in NNLS problem"):
+            hals_nnls(gram, cross, np.zeros((2, 3)), TIGHT)
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
     def test_non_finite_acceleration_budget_rejected(self, budget):
@@ -377,10 +399,9 @@ class TestFastLoopsMatchOracles:
             dead = rng.random(r) < 0.4
             cross[dead] = -10.0 * (1.0 + np.abs(cross[dead]))
             z0[dead & (rng.random(r) < 0.5)] = 0.0
-        problem = NnlsProblem(gram, cross)
         cfg = SolverConfig(max_inner_iters=iters, inner_tolerance=tolerance,
                            acceleration_budget=budget)
-        assert_same_bits(hals_nnls(problem, z0, cfg), hals_nnls_loop(problem, z0, cfg))
+        assert_same_bits(hals_nnls(gram, cross, z0, cfg), hals_nnls_loop(gram, cross, z0, cfg))
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -9,7 +9,6 @@ PUBLIC = [
     "HitRateScore",
     "IngestError",
     "LambdaFit",
-    "NnlsProblem",
     "NtdConfig",
     "NtdModel",
     "NtdRanks",
