@@ -36,7 +36,7 @@ from .ingest import (
     tensor_to_chromagram,
     tensorize,
 )
-from .nnls import SolverConfig, core_prox_gradient, hals_nnls
+from .nnls import core_prox_gradient, hals_nnls
 from .segmentation import (
     Segmentation,
     SegmentationConfig,
@@ -56,7 +56,7 @@ __all__ = [
     "BarGrid", "Chromagram", "IngestError", "ReferenceSegmentation", "load_annotation",
     "load_bars", "load_chromagram", "save_annotation", "save_bars", "save_chromagram",
     "synth_song", "tensor_to_chromagram", "tensorize",
-    "SolverConfig", "core_prox_gradient", "hals_nnls",
+    "core_prox_gradient", "hals_nnls",
     "Segmentation", "SegmentationConfig", "autosimilarity_from_features",
     "boundaries_to_times", "penalty", "raw_score", "segment",
     "mode_product", "reconstruct", "truncated_hosvd",

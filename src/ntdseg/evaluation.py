@@ -95,6 +95,8 @@ def default_rank_grid(low: int = 12, high: int = 48, step: int = 4):
     """Grid of (t_rank, b_rank) pairs, 12..48 step 4 by default."""
     if step <= 0:
         raise ValueError(f"rank step must be positive, got {step}")
+    if low < 1:
+        raise ValueError(f"lowest rank must be at least 1, got {low}")
     if low > high:
         raise ValueError(f"lowest rank {low} exceeds highest rank {high}")
     values = range(low, high + 1, step)

@@ -5,8 +5,12 @@ Two solvers back the alternating Tucker updates, both in normal-equation
 hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and a
 projected gradient method with a Lipschitz step for the core tensor, which
 reads the three factor Grams and the data projected onto the factors.
-Both take plain arrays and check their shapes and finiteness first; both
-stop by the rule of `SolverConfig`, and neither evaluates an objective.
+Both take plain arrays and check their shapes and finiteness first, and
+neither evaluates an objective. Fixed iteration caps are the only stopping
+rule: HALS runs ``min(MAX_INNER_ITERS, ceil((1 + r) / 2))`` sweeps for rank
+``r`` and the core runs ``MAX_INNER_ITERS`` steps. Neither solver keeps
+state apart from its iterate, so to iterate further, call again from the
+result: k chained calls are exactly k times the cap.
 
 The core step runs on the live sub-core only: a slice whose factor has a
 zero column (zero Gram row and column, zero cross slice) has zero gradient
@@ -17,51 +21,26 @@ come back to life in a later sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rule of both solvers (Gillis & Glineur 2012): stop after
-    `max_inner_iters` iterations (HALS sweeps or core steps), or once an
-    iteration moves the iterate by at most `inner_tolerance` times the
-    first iteration's move, in Frobenius norm. `acceleration_budget` caps
-    HALS sweeps at ``ceil(budget * (1 + rank))``; the core does not read it."""
-
-    max_inner_iters: int = 100
-    inner_tolerance: float = 1e-8
-    acceleration_budget: float = 0.5
-
-    def __post_init__(self):
-        if not (isinstance(self.max_inner_iters, Integral) and self.max_inner_iters >= 1):
-            raise ValueError("max_inner_iters must be a positive integer")
-        if not 0.0 <= self.inner_tolerance < 1.0:
-            raise ValueError("inner_tolerance must lie in [0, 1)")
-        if not (math.isfinite(self.acceleration_budget) and self.acceleration_budget > 0):
-            raise ValueError("acceleration_budget must be a positive finite number")
+# Iteration cap of both solvers: HALS sweeps (see `hals_nnls`) and core steps.
+MAX_INNER_ITERS = 100
 
 
-def hals_nnls(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    z0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
-) -> np.ndarray:
+def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """Accelerated HALS for ``min_{Z>=0} ||Y - A Z||_F^2`` in Gram form.
 
     Reads ``gram = A.T A`` and ``cross = A.T Y``: up to the constant
     ``||Y||_F^2`` the objective is ``<Z, gram Z> - 2 <cross, Z>``, so the
     solver never touches the (possibly long) data matrices.
 
-    Sweeps exact coordinate-block updates over the rows of Z (one row per
-    column of A), repeating sweeps while the iterate still moves, up to a
-    work budget proportional to the sweep cost. Each row moves to the
+    Runs ``min(MAX_INNER_ITERS, ceil((1 + r) / 2))`` sweeps of exact
+    coordinate-block updates over the r rows of Z (one row per column of
+    A), a budget proportional to the sweep cost. Each row moves to the
     exact minimiser of its block, so a row that updates to all zeros is
     exactly zero and no update increases the objective. Never returns
-    negative entries.
+    negative entries. To sweep further, call again from the result.
     """
     r = cross.shape[0]
     if gram.shape != (r, r):
@@ -76,9 +55,7 @@ def hals_nnls(
     if not np.isfinite(z).all():
         raise ValueError("non-finite entries in z0")
 
-    max_sweeps = min(
-        cfg.max_inner_iters, max(1, math.ceil(cfg.acceleration_budget * (1 + r)))
-    )
+    sweeps = min(MAX_INNER_ITERS, math.ceil((1 + r) / 2))
     # Per-row views, built once: Gram diagonal entry, Gram row, cross row and
     # the row of z that the update overwrites. A row with no positive
     # diagonal entry is never updated.
@@ -88,12 +65,7 @@ def hals_nnls(
         if row[0] > 0.0
     ]
     new = np.empty(z.shape[1])
-    # z at the start of the sweep, then the sweep's move
-    move = np.empty(z.shape)
-    flat_move = move.reshape(-1)
-    first_delta = None
-    for _ in range(max_sweeps):
-        np.copyto(move, z)
+    for _ in range(sweeps):
         for denom, gram_row, cross_row, z_row in rows:
             # z_row = max(0, z_row + (cross_row - gram_row @ z) / denom)
             np.matmul(gram_row, z, out=new)
@@ -101,12 +73,6 @@ def hals_nnls(
             np.divide(new, denom, out=new)
             np.add(z_row, new, out=new)
             np.maximum(0.0, new, out=z_row)
-        np.subtract(z, move, out=move)
-        delta = math.sqrt(flat_move.dot(flat_move))
-        if first_delta is None:
-            first_delta = delta
-        if delta <= cfg.inner_tolerance * first_delta:
-            break
     return z
 
 
@@ -114,7 +80,6 @@ def core_prox_gradient(
     grams: tuple[np.ndarray, np.ndarray, np.ndarray],
     cross: np.ndarray,
     g0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
 ) -> np.ndarray:
     """Projected gradient update of the nonnegative core tensor.
 
@@ -122,7 +87,8 @@ def core_prox_gradient(
     ``grams = (W.T W, H.T H, Q.T Q)`` and ``cross = X x0 W.T x1 H.T x2 Q.T``.
     Each iteration steps along the gradient with step ``1/L``, ``L`` being
     the product of the largest eigenvalues of the three Grams, then clips
-    at zero, until the `SolverConfig` rule stops it.
+    at zero, for ``MAX_INNER_ITERS`` steps. To step further, call again
+    from the result.
     """
     expected = cross.shape
     if g0.shape != expected:
@@ -152,11 +118,11 @@ def core_prox_gradient(
     ]
     index = np.ix_(*live)
     live_grams = tuple(gram[np.ix_(i, i)] for gram, i in zip(grams, live))
-    g[index] = _prox_steps(live_grams, cross[index], g[index], step, cfg)
+    g[index] = _prox_steps(live_grams, cross[index], g[index], step)
     return g
 
 
-def _prox_steps(grams, cross, g, step, cfg):
+def _prox_steps(grams, cross, g, step):
     """The projected gradient steps of `core_prox_gradient` from ``g >= 0``,
     which they overwrite."""
     gram_w, gram_h, gram_q = grams
@@ -164,10 +130,7 @@ def _prox_steps(grams, cross, g, step, cfg):
     g_next = np.empty(shape)
     partial = np.empty(shape)
     image = np.empty(shape)
-    move = np.empty(shape)
-    flat_move = move.reshape(-1)
-    first_delta = None
-    for _ in range(cfg.max_inner_iters):
+    for _ in range(MAX_INNER_ITERS):
         # image = G x0 (W.T W) x1 (H.T H) x2 (Q.T Q)
         np.matmul(gram_h, (gram_w @ g.reshape(shape[0], -1)).reshape(shape), out=partial)
         np.matmul(partial, gram_q.T, out=image)
@@ -176,11 +139,5 @@ def _prox_steps(grams, cross, g, step, cfg):
         np.multiply(step, g_next, out=g_next)
         np.subtract(g, g_next, out=g_next)
         np.maximum(0.0, g_next, out=g_next)
-        np.subtract(g_next, g, out=move)
-        delta = math.sqrt(flat_move.dot(flat_move))
         g, g_next = g_next, g
-        if first_delta is None:
-            first_delta = delta
-        if delta <= cfg.inner_tolerance * first_delta:
-            break
     return g

@@ -18,7 +18,7 @@ from ntdseg.segmentation import SegmentationConfig, penalty, segment
 from ntdseg.tensor_ops import reconstruct
 
 from test_evaluation import exhaustive_matching
-from test_nnls import TIGHT, active_set_oracle, gradient, objective, problem_from_data
+from test_nnls import active_set_oracle, converge, gradient, objective, problem_from_data
 from test_segmentation import dp_total, enumerate_best_total
 from test_tensor_ops import brute_force_reconstruct
 
@@ -77,7 +77,7 @@ def test_criterion_4_nnls_kkt():
         y = rng.standard_normal((6, 3))
         problem = problem_from_data(a, y)
         z0 = np.abs(rng.standard_normal((r, 3)))
-        z = hals_nnls(*problem, z0, TIGHT)
+        z = converge(hals_nnls, *problem, start=z0)
         grad = gradient(problem, z)
         zero = z <= 1e-10 * max(z.max(), 1.0)
         assert np.all(grad[zero] >= -1e-6)

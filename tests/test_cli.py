@@ -107,14 +107,19 @@ def test_empty_rank_range_rejected(tmp_path, capsys):
     prefix = tmp_path / "song"
     assert run(*synth_args(prefix)) == 0
     out = tmp_path / "sweep.tsv"
-    code = run(
-        "sweep", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
-        "--reference", f"{prefix}.ref.txt", "--frames-per-bar", "8",
-        "--rank-min", "50", "--rank-max", "12", "--out", str(out),
-    )
-    assert code == 1
-    assert "lowest rank 50 exceeds highest rank 12" in capsys.readouterr().err
-    assert not out.exists()
+    for low, high, message in [
+        ("50", "12", "lowest rank 50 exceeds highest rank 12"),
+        ("0", "4", "lowest rank must be at least 1, got 0"),
+        ("-2", "4", "lowest rank must be at least 1, got -2"),
+    ]:
+        code = run(
+            "sweep", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
+            "--reference", f"{prefix}.ref.txt", "--frames-per-bar", "8",
+            "--rank-min", low, "--rank-max", high, "--rank-step", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_input_reports_path(tmp_path, capsys):

@@ -156,6 +156,11 @@ class TestRankSweep:
         with pytest.raises(ValueError, match="^lowest rank 50 exceeds highest rank 12$"):
             default_rank_grid(50, 12)
 
+    @pytest.mark.parametrize("low", [0, -2])
+    def test_rank_below_one_rejected(self, low):
+        with pytest.raises(ValueError, match=f"^lowest rank must be at least 1, got {low}$"):
+            default_rank_grid(low, 4, 2)
+
     def test_empty_grid_rejected(self):
         x, bars, ref = make_tiny_song()
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ PUBLIC = [
     "ReferenceSegmentation",
     "Segmentation",
     "SegmentationConfig",
-    "SolverConfig",
     "autosimilarity_from_features",
     "boundaries_to_times",
     "core_prox_gradient",
