@@ -13,7 +13,6 @@ from .evaluation import (
     DEFAULT_TOLERANCES,
     HitRateScore,
     LambdaFit,
-    RankSweepResult,
     default_rank_grid,
     fit_lambda,
     hit_rate,
@@ -51,8 +50,8 @@ from .tensor_ops import mode_product, reconstruct, truncated_hosvd
 __all__ = [
     "NtdConfig", "NtdModel", "NtdRanks", "decompose", "initialize", "normalize",
     "parameter_count",
-    "DEFAULT_TOLERANCES", "HitRateScore", "LambdaFit", "RankSweepResult", "default_rank_grid",
-    "fit_lambda", "hit_rate", "oracle_select", "rank_sweep", "segment_song",
+    "DEFAULT_TOLERANCES", "HitRateScore", "LambdaFit", "default_rank_grid", "fit_lambda",
+    "hit_rate", "oracle_select", "rank_sweep", "segment_song",
     "BarGrid", "Chromagram", "IngestError", "ReferenceSegmentation", "load_annotation",
     "load_bars", "load_chromagram", "save_annotation", "save_bars", "save_chromagram",
     "synth_song", "tensor_to_chromagram", "tensorize",

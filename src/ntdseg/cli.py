@@ -17,14 +17,15 @@ def _add_ntd_flags(parser: argparse.ArgumentParser) -> None:
                         help="frequency rank; defaults to the pitch-class count")
     parser.add_argument("--free-w", action="store_true",
                         help="optimize W instead of fixing it to the identity")
-    parser.add_argument("--max-outer-iters", type=int, default=100)
-    parser.add_argument("--outer-tolerance", type=float, default=1e-8)
+    parser.add_argument("--max-outer-iters", type=int, default=NtdConfig.max_outer_iters)
+    parser.add_argument("--outer-tolerance", type=float, default=NtdConfig.outer_tolerance)
 
 
 def _add_segmentation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", dest="penalty_weight", type=float, default=1.0)
-    parser.add_argument("--max-segment-bars", type=int, default=32)
-    parser.add_argument("--kernel-band", type=int, default=4)
+    defaults = segmentation.SegmentationConfig
+    parser.add_argument("--lambda", dest="penalty_weight", type=float, default=defaults.penalty_weight)
+    parser.add_argument("--max-segment-bars", type=int, default=defaults.max_segment_bars)
+    parser.add_argument("--kernel-band", type=int, default=defaults.kernel_band)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +119,9 @@ def _cmd_segment(args) -> None:
     cfg, seg_cfg = _ntd_config(args), _seg_config(args)
     x, bars = _load_tensor(args)
     seg, _, autosim = evaluation.segment_song(x, bars, _ranks(args, x.shape[0]), cfg, seg_cfg)
-    segmentation.save_segmentation(args.out, seg.boundary_times)
+    times = seg.boundary_times
+    segments = tuple((s, e, f"S{k}") for k, (s, e) in enumerate(zip(times, times[1:])))
+    ingest.save_annotation(args.out, ingest.ReferenceSegmentation(segments))
     if args.autosim_out:
         np.savetxt(args.autosim_out, autosim, delimiter="\t")
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -72,11 +72,7 @@ class NtdModel:
             "objective_trace": list(self.objective_trace),
         }
         if config is not None:
-            doc["config"] = {
-                "max_outer_iters": config.max_outer_iters,
-                "outer_tolerance": config.outer_tolerance,
-                "fix_w_to_identity": config.fix_w_to_identity,
-            }
+            doc["config"] = asdict(config)
         return json.dumps(doc)
 
     @classmethod

@@ -1,7 +1,7 @@
 """Boundary hit-rate metrics and experiment harnesses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,11 @@ def _max_matching(reference: list[float], estimate: list[float], tolerance: floa
     return matched
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be a positive finite number")
+
+
 def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
     """Precision/recall/F of estimated boundaries against a reference.
 
@@ -58,8 +63,7 @@ def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
     estimate = [float(t) for t in estimate]
     if reference != sorted(reference) or estimate != sorted(estimate):
         raise ValueError("boundary lists must be sorted ascending")
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be a positive finite number")
+    _check_tolerance(tolerance)
 
     matched = _max_matching(reference, estimate, tolerance)
     precision = matched / len(estimate) if estimate else 0.0
@@ -80,15 +84,8 @@ def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    t_rank: int
-    b_rank: int
     objective: float
     scores: dict[float, HitRateScore]
-
-
-@dataclass
-class RankSweepResult:
-    entries: dict[tuple[int, int], SweepEntry] = field(default_factory=dict)
 
 
 def default_rank_grid(low: int = 12, high: int = 48, step: int = 4):
@@ -126,40 +123,48 @@ def rank_sweep(
     ntd_cfg: NtdConfig = NtdConfig(fix_w_to_identity=True),
     seg_cfg: SegmentationConfig = SegmentationConfig(),
     tolerances=DEFAULT_TOLERANCES,
-) -> RankSweepResult:
-    """Evaluate the full pipeline on every (t_rank, b_rank) pair."""
+) -> dict[tuple[int, int], SweepEntry]:
+    """Evaluate the full pipeline on every (t_rank, b_rank) pair.
+
+    Returns a dict keyed by (t_rank, b_rank). Every pair and tolerance is
+    checked against `x` before the first fit.
+    """
     if not grid:
         raise ValueError("rank grid must be nonempty")
-    ref_bounds = reference.boundaries()
-    result = RankSweepResult()
+    for tol in tolerances:
+        _check_tolerance(tol)
+    ranks = {}
     for t_rank, b_rank in grid:
-        ranks = NtdRanks(x.shape[0], t_rank, b_rank)
         try:
-            seg, objective, _ = segment_song(x, bars, ranks, ntd_cfg, seg_cfg)
+            pair_ranks = NtdRanks(x.shape[0], t_rank, b_rank)
+            pair_ranks.validate_for(x.shape)
+        except ValueError as exc:
+            raise ValueError(f"rank pair ({t_rank}, {b_rank}): {exc}") from exc
+        ranks[t_rank, b_rank] = pair_ranks
+    ref_bounds = reference.boundaries()
+    sweep = {}
+    for (t_rank, b_rank), pair_ranks in ranks.items():
+        try:
+            seg, objective, _ = segment_song(x, bars, pair_ranks, ntd_cfg, seg_cfg)
         except Exception as exc:
             raise RuntimeError(f"rank pair ({t_rank}, {b_rank}) failed: {exc}") from exc
         scores = {
             tol: hit_rate(ref_bounds, list(seg.boundary_times), tol)
             for tol in tolerances
         }
-        result.entries[(t_rank, b_rank)] = SweepEntry(
-            t_rank=t_rank, b_rank=b_rank, objective=objective, scores=scores
-        )
-    return result
+        sweep[t_rank, b_rank] = SweepEntry(objective=objective, scores=scores)
+    return sweep
 
 
 def oracle_select(
-    sweep: RankSweepResult, tolerance: float
+    sweep: dict[tuple[int, int], SweepEntry], tolerance: float
 ) -> tuple[int, int, HitRateScore]:
     """Grid point with the best F at `tolerance`; ties prefer smaller
     t_rank, then smaller b_rank."""
-    if not sweep.entries:
+    if not sweep:
         raise ValueError("empty sweep result")
-    best_key = min(
-        sweep.entries,
-        key=lambda key: (-sweep.entries[key].scores[tolerance].f_measure, key[0], key[1]),
-    )
-    return best_key[0], best_key[1], sweep.entries[best_key].scores[tolerance]
+    best = min(sweep, key=lambda key: (-sweep[key].scores[tolerance].f_measure, key))
+    return best[0], best[1], sweep[best].scores[tolerance]
 
 
 @dataclass(frozen=True)
@@ -191,67 +196,61 @@ def fit_lambda(
     tolerance: float = 0.5,
 ) -> LambdaFit:
     """Fit the regularity penalty weight by 2-fold cross-validation over
-    a corpus of (tensor, bars, reference) songs split by index parity."""
+    a corpus of (tensor, bars, reference) songs split by index parity.
+
+    The ranks of every song, every lambda and the tolerance are checked
+    before the first fit.
+    """
     if len(corpus) < 2:
         raise ValueError("corpus must contain at least 2 songs")
     if not lambda_grid:
         raise ValueError("lambda grid must be nonempty")
-    lambda_grid = sorted(set(float(v) for v in lambda_grid))
+    _check_tolerance(tolerance)
+    for k, (x, _, _) in enumerate(corpus):
+        try:
+            ranks.validate_for(x.shape)
+        except ValueError as exc:
+            raise ValueError(f"song {k}: {exc}") from exc
+    lambdas = sorted(set(float(v) for v in lambda_grid))
+    configs = [replace(seg_cfg, penalty_weight=lam) for lam in lambdas]
 
     # Decomposition does not depend on lambda: fit each song once, then
-    # segment it once per lambda into a table of F values.
-    f_table = []
-    for x, bars, reference in corpus:
+    # segment it once per lambda into a songs x lambdas table of F values.
+    f_table = np.empty((len(corpus), len(lambdas)))
+    for i, (x, bars, reference) in enumerate(corpus):
         autosim = autosimilarity_from_features(decompose(x, ranks, ntd_cfg).q)
         ref_bounds = reference.boundaries()
-        row = {}
-        for lam in lambda_grid:
-            seg = boundaries_to_times(segment(autosim, replace(seg_cfg, penalty_weight=lam)), bars)
-            row[lam] = hit_rate(ref_bounds, list(seg.boundary_times), tolerance).f_measure
-        f_table.append(row)
+        for j, cfg in enumerate(configs):
+            seg = boundaries_to_times(segment(autosim, cfg), bars)
+            f_table[i, j] = hit_rate(ref_bounds, list(seg.boundary_times), tolerance).f_measure
 
-    def mean_f(indices, lam: float) -> float:
-        total = 0.0
-        for i in indices:
-            total += f_table[i][lam]
-        return total / len(indices)
-
-    even = [i for i in range(len(corpus)) if i % 2 == 0]
-    odd = [i for i in range(len(corpus)) if i % 2 == 1]
-
-    def tune(indices) -> float:
-        scores = {lam: mean_f(indices, lam) for lam in lambda_grid}
-        return max(scores, key=lambda lam: (scores[lam], -lam))
-
-    even_tuned = tune(even)
-    odd_tuned = tune(odd)
-    even_test_f = mean_f(odd, even_tuned)
-    odd_test_f = mean_f(even, odd_tuned)
-
-    all_indices = list(range(len(corpus)))
-    selected = max(
-        (even_tuned, odd_tuned),
-        key=lambda lam: (mean_f(all_indices, lam), -lam),
+    # Fold means add the songs in index order; ndarray.mean may sum pairwise.
+    even_f, odd_f, all_f = (
+        sum(rows) / len(rows) for rows in (f_table[0::2], f_table[1::2], f_table)
     )
+    # argmax takes the first maximum: the smallest lambda among ties.
+    even_i, odd_i = int(np.argmax(even_f)), int(np.argmax(odd_f))
+    selected = min(even_i, odd_i, key=lambda j: (-all_f[j], j))
     return LambdaFit(
-        even_tuned=even_tuned,
-        odd_tuned=odd_tuned,
-        even_test_f=even_test_f,
-        odd_test_f=odd_test_f,
-        selected=selected,
+        even_tuned=lambdas[even_i],
+        odd_tuned=lambdas[odd_i],
+        even_test_f=float(odd_f[even_i]),
+        odd_test_f=float(even_f[odd_i]),
+        selected=lambdas[selected],
     )
 
 
-def write_sweep_report(path, sweep: RankSweepResult, tolerances=DEFAULT_TOLERANCES) -> None:
+def write_sweep_report(
+    path, sweep: dict[tuple[int, int], SweepEntry], tolerances=DEFAULT_TOLERANCES
+) -> None:
     """Tab-delimited table, one row per grid point."""
     with open(path, "w") as fh:
         header = ["t_rank", "b_rank", "objective"]
         for tol in tolerances:
             header += [f"P@{tol}", f"R@{tol}", f"F@{tol}"]
         fh.write("\t".join(header) + "\n")
-        for key in sorted(sweep.entries):
-            entry = sweep.entries[key]
-            row = [str(entry.t_rank), str(entry.b_rank), repr(entry.objective)]
+        for (t_rank, b_rank), entry in sorted(sweep.items()):
+            row = [str(t_rank), str(b_rank), repr(entry.objective)]
             for tol in tolerances:
                 score = entry.scores[tol]
                 row += [repr(score.precision), repr(score.recall), repr(score.f_measure)]

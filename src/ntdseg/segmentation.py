@@ -133,10 +133,3 @@ def boundaries_to_times(seg: Segmentation, bars: BarGrid) -> Segmentation:
     times = tuple(float(bars.downbeats[b]) for b in seg.bar_boundaries)
     return replace(seg, boundary_times=times)
 
-
-def save_segmentation(path, boundary_times) -> None:
-    """Write MIREX-style 'start end label' lines with synthetic labels."""
-    times = list(boundary_times)
-    with open(path, "w") as fh:
-        for k in range(len(times) - 1):
-            fh.write(f"{times[k]!r} {times[k + 1]!r} S{k}\n")

@@ -187,8 +187,8 @@ def test_criterion_10_experiment_harness_on_synthetic_corpus():
     x, bars, ref = corpus[0]
     sweep = rank_sweep(x, bars, ref, [(2, 2), (3, 2), (4, 3)], ntd_cfg, seg_cfg)
     t_rank, b_rank, best = oracle_select(sweep, 0.5)
-    assert (t_rank, b_rank) in sweep.entries
-    for entry in sweep.entries.values():
+    assert (t_rank, b_rank) in sweep
+    for entry in sweep.values():
         assert best.f_measure >= entry.scores[0.5].f_measure
 
     fit = fit_lambda(corpus, [0.0, 1.0], NtdRanks(6, 3, 2), ntd_cfg, seg_cfg)

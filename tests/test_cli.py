@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ntdseg import evaluation
 from ntdseg.cli import main
 from ntdseg.decomposition import NtdModel
 from ntdseg.ingest import load_annotation, load_bars, load_chromagram
@@ -41,6 +42,8 @@ def test_synth_segment_evaluate_pipeline(tmp_path):
         "segment", "--chroma", chroma, "--bars", bars, "--frames-per-bar", "8",
         "--t-rank", "4", "--b-rank", "2", "--lambda", "1.0", "--out", est,
     ) == 0
+    labels = [s[2] for s in load_annotation(est).segments]
+    assert labels == [f"S{k}" for k in range(len(labels))]
     scores = str(tmp_path / "scores.tsv")
     assert run("evaluate", "--estimate", est, "--reference", ref, "--out", scores) == 0
     rows = [line.split("\t") for line in open(scores).read().strip().split("\n")]
@@ -87,6 +90,28 @@ def test_sweep_command(tmp_path):
     ) == 0
     lines = open(out).read().strip().split("\n")
     assert len(lines) == 1 + 4  # header + 2x2 grid
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rank-min", "2", "--rank-max", "26", "--rank-step", "24"],
+     "rank pair (2, 26): B-rank 26 exceeds tensor dimension 24"),
+    (["--rank-min", "2", "--rank-max", "4", "--rank-step", "2", "--tolerance", "0.5", "-1"],
+     "tolerance must be a positive finite number"),
+])
+def test_bad_sweep_input_rejected_before_any_fit(tmp_path, capsys, monkeypatch, flags, message):
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix)) == 0
+    fits = []
+    monkeypatch.setattr(evaluation, "decompose", lambda *args: fits.append(args))
+    out = tmp_path / "sweep.tsv"
+    code = run(
+        "sweep", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
+        "--reference", f"{prefix}.ref.txt", "--frames-per-bar", "8", *flags, "--out", str(out),
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert fits == []
 
 
 def test_zero_rank_step_rejected(tmp_path, capsys):

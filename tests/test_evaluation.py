@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntdseg import evaluation
 from ntdseg.decomposition import NtdConfig, NtdRanks
 from ntdseg.evaluation import (
     default_rank_grid,
@@ -15,7 +16,7 @@ from ntdseg.evaluation import (
     write_sweep_report,
 )
 from ntdseg.ingest import synth_song
-from ntdseg.segmentation import SegmentationConfig
+from ntdseg.segmentation import Segmentation, SegmentationConfig
 
 
 def exhaustive_matching(reference, estimate, tolerance):
@@ -44,6 +45,20 @@ def make_tiny_song(seed=0, n_patterns=2, block=8, blocks=3, frames=8, pitches=6)
 
 FAST_NTD = NtdConfig(fix_w_to_identity=True, max_outer_iters=30)
 FAST_SEG = SegmentationConfig(penalty_weight=1.0)
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Count the `decompose` calls the harnesses make."""
+    calls = []
+    original = evaluation.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "decompose", counting)
+    return calls
 
 
 class TestHitRate:
@@ -133,12 +148,12 @@ class TestRankSweep:
     def test_single_pair(self):
         x, bars, ref = make_tiny_song()
         result = rank_sweep(x, bars, ref, [(3, 2)], FAST_NTD, FAST_SEG)
-        assert set(result.entries) == {(3, 2)}
+        assert set(result) == {(3, 2)}
 
     def test_true_pattern_count_achieves_perfect_f(self):
         x, bars, ref = make_tiny_song(seed=4)
         result = rank_sweep(x, bars, ref, [(2, 2), (3, 2), (4, 2)], FAST_NTD, FAST_SEG)
-        best_f = max(e.scores[0.5].f_measure for e in result.entries.values())
+        best_f = max(e.scores[0.5].f_measure for e in result.values())
         assert best_f == 1.0
 
     def test_default_grid_is_paper_grid(self):
@@ -166,6 +181,31 @@ class TestRankSweep:
         with pytest.raises(ValueError):
             rank_sweep(x, bars, ref, [])
 
+    def test_result_is_keyed_by_rank_pair(self, fits):
+        x, bars, ref = make_tiny_song()
+        result = rank_sweep(x, bars, ref, [(3, 2), (2, 2)], FAST_NTD, FAST_SEG)
+        assert list(result) == [(3, 2), (2, 2)]
+        assert len(fits) == 2
+        assert all(set(e.scores) == {0.5, 3.0} for e in result.values())
+
+    @pytest.mark.parametrize("pair, message", [
+        ((2, 25), r"^rank pair \(2, 25\): B-rank 25 exceeds tensor dimension 24$"),
+        ((9, 2), r"^rank pair \(9, 2\): T-rank 9 exceeds tensor dimension 8$"),
+        ((0, 2), r"^rank pair \(0, 2\): t_rank must be a positive integer$"),
+    ])
+    def test_bad_rank_pair_rejected_before_any_fit(self, fits, pair, message):
+        x, bars, ref = make_tiny_song()  # 6 x 8 x 24
+        with pytest.raises(ValueError, match=message):
+            rank_sweep(x, bars, ref, [(2, 2), pair], FAST_NTD, FAST_SEG)
+        assert fits == []
+
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected_before_any_fit(self, fits, tolerance):
+        x, bars, ref = make_tiny_song()
+        with pytest.raises(ValueError, match="^tolerance must be a positive finite number$"):
+            rank_sweep(x, bars, ref, [(2, 2)], FAST_NTD, FAST_SEG, (0.5, tolerance))
+        assert fits == []
+
     def test_report_round_trip(self, tmp_path):
         x, bars, ref = make_tiny_song()
         result = rank_sweep(x, bars, ref, [(2, 2), (3, 2)], FAST_NTD, FAST_SEG)
@@ -176,7 +216,7 @@ class TestRankSweep:
         header = lines[0].split("\t")
         assert header[:3] == ["t_rank", "b_rank", "objective"]
         first = lines[1].split("\t")
-        entry = result.entries[(int(first[0]), int(first[1]))]
+        entry = result[(int(first[0]), int(first[1]))]
         assert float(first[2]) == entry.objective
 
 
@@ -186,16 +226,16 @@ class TestOracleSelect:
         result = rank_sweep(x, bars, ref, [(3, 2)], FAST_NTD, FAST_SEG)
         t, b, score = oracle_select(result, 0.5)
         assert (t, b) == (3, 2)
-        assert score == result.entries[(3, 2)].scores[0.5]
+        assert score == result[(3, 2)].scores[0.5]
 
     def test_argmax_and_tie_break(self):
         x, bars, ref = make_tiny_song(seed=5)
         grid = [(2, 2), (3, 2), (4, 2)]
         result = rank_sweep(x, bars, ref, grid, FAST_NTD, FAST_SEG)
         t, b, score = oracle_select(result, 0.5)
-        best_f = max(e.scores[0.5].f_measure for e in result.entries.values())
+        best_f = max(e.scores[0.5].f_measure for e in result.values())
         assert score.f_measure == best_f
-        ties = [k for k, e in result.entries.items() if e.scores[0.5].f_measure == best_f]
+        ties = [k for k, e in result.items() if e.scores[0.5].f_measure == best_f]
         assert (t, b) == min(ties)
 
     def test_oracle_dominates_every_fixed_rank(self):
@@ -203,7 +243,7 @@ class TestOracleSelect:
         result = rank_sweep(x, bars, ref, [(2, 2), (3, 2), (3, 3)], FAST_NTD, FAST_SEG)
         for tol in (0.5, 3.0):
             _, _, best = oracle_select(result, tol)
-            for entry in result.entries.values():
+            for entry in result.values():
                 assert best.f_measure >= entry.scores[tol].f_measure
 
 
@@ -259,6 +299,39 @@ class TestFitLambda:
             assert tuned == max(scores, key=lambda lam: (scores[lam], -lam))
         assert fit.even_test_f == pytest.approx(independent_mean_f(odd, fit.even_tuned))
         assert fit.odd_test_f == pytest.approx(independent_mean_f(even, fit.odd_tuned))
+
+    def test_ties_select_the_smallest_lambda(self, monkeypatch):
+        # with one segmentation for every lambda, every lambda scores the same F
+        monkeypatch.setattr(
+            evaluation, "segment", lambda a, cfg: Segmentation(bar_boundaries=(0, 8, 24))
+        )
+        corpus = [make_tiny_song(seed=s) for s in range(4)]
+        fit = fit_lambda(corpus, [1.5, 0.25, 0.75], NtdRanks(6, 3, 2), FAST_NTD, FAST_SEG)
+        assert fit.even_tuned == fit.odd_tuned == fit.selected == 0.25
+        assert 0.0 < fit.even_test_f < 1.0
+
+    def test_fields_are_python_floats(self):
+        corpus = [make_tiny_song(seed=s) for s in range(3)]
+        fit = fit_lambda(corpus, [0, 1], NtdRanks(6, 3, 2), FAST_NTD, FAST_SEG)
+        assert [type(v) for v in vars(fit).values()] == [float] * 5
+
+    @pytest.mark.parametrize("grid, tolerance, message", [
+        ([0.5, -1.0], 0.5, "^penalty_weight must be a nonnegative finite number$"),
+        ([0.5, float("nan")], 0.5, "^penalty_weight must be a nonnegative finite number$"),
+        ([0.5], -1.0, "^tolerance must be a positive finite number$"),
+        ([0.5], float("nan"), "^tolerance must be a positive finite number$"),
+    ])
+    def test_bad_input_rejected_before_any_fit(self, fits, grid, tolerance, message):
+        corpus = [make_tiny_song(seed=s) for s in range(2)]
+        with pytest.raises(ValueError, match=message):
+            fit_lambda(corpus, grid, NtdRanks(6, 3, 2), FAST_NTD, FAST_SEG, tolerance)
+        assert fits == []
+
+    def test_rank_too_large_for_a_song_rejected_before_any_fit(self, fits):
+        corpus = [make_tiny_song(seed=0), make_tiny_song(seed=1, blocks=1)]  # 24, 8 bars
+        with pytest.raises(ValueError, match="^song 1: B-rank 10 exceeds tensor dimension 8$"):
+            fit_lambda(corpus, [0.5], NtdRanks(6, 3, 10), FAST_NTD, FAST_SEG)
+        assert fits == []
 
     def test_small_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ntdseg.ingest import BarGrid, load_annotation
+from ntdseg.ingest import BarGrid, ReferenceSegmentation, load_annotation, save_annotation
 from ntdseg.segmentation import (
     Segmentation,
     SegmentationConfig,
@@ -15,7 +15,6 @@ from ntdseg.segmentation import (
     boundaries_to_times,
     penalty,
     raw_score,
-    save_segmentation,
     segment,
 )
 
@@ -372,8 +371,13 @@ class TestBoundaryTimes:
             boundaries_to_times(Segmentation(bar_boundaries=(0, 3)), bars)
 
     def test_round_trip_through_annotation_file(self, tmp_path):
+        bars = BarGrid(downbeats=2.0 * np.arange(9, dtype=float))
+        times = boundaries_to_times(Segmentation(bar_boundaries=(0, 4, 8)), bars).boundary_times
         path = tmp_path / "seg.txt"
-        save_segmentation(path, [0.0, 8.0, 16.0])
+        save_annotation(path, ReferenceSegmentation(
+            ((times[0], times[1], "S0"), (times[1], times[2], "S1"))
+        ))
+        assert path.read_text() == "0.0 8.0 S0\n8.0 16.0 S1\n"
         loaded = load_annotation(path)
         assert loaded.boundaries() == [0.0, 8.0, 16.0]
         assert [s[2] for s in loaded.segments] == ["S0", "S1"]

@@ -12,7 +12,6 @@ PUBLIC = [
     "NtdConfig",
     "NtdModel",
     "NtdRanks",
-    "RankSweepResult",
     "ReferenceSegmentation",
     "Segmentation",
     "SegmentationConfig",
