@@ -10,69 +10,51 @@ from . import evaluation, ingest, segmentation
 from .decomposition import NtdConfig, NtdRanks, decompose
 
 
-def _add_ntd_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-rank", type=int, default=12)
-    parser.add_argument("--b-rank", type=int, default=10)
-    parser.add_argument("--f-rank", type=int, default=None,
-                        help="frequency rank; defaults to the pitch-class count")
-    parser.add_argument("--free-w", action="store_true",
-                        help="optimize W instead of fixing it to the identity")
-    parser.add_argument("--max-outer-iters", type=int, default=NtdConfig.max_outer_iters)
-    parser.add_argument("--outer-tolerance", type=float, default=NtdConfig.outer_tolerance)
-
-
-def _add_segmentation_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = segmentation.SegmentationConfig
-    parser.add_argument("--lambda", dest="penalty_weight", type=float, default=defaults.penalty_weight)
-    parser.add_argument("--max-segment-bars", type=int, default=defaults.max_segment_bars)
-    parser.add_argument("--kernel-band", type=int, default=defaults.kernel_band)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Each flag is declared once, on a parent parser shared by the commands that read it.
+    parents = (argparse.ArgumentParser(add_help=False) for _ in range(7))
+    song, frames, out, scoring, ranks, ntd, seg = parents
+    song.add_argument("--chroma", required=True)
+    song.add_argument("--bars", required=True)
+    frames.add_argument("--frames-per-bar", type=int, default=96)
+    out.add_argument("--out", required=True)
+    scoring.add_argument("--reference", required=True)
+    scoring.add_argument("--tolerance", type=float, nargs="+",
+                         default=list(evaluation.DEFAULT_TOLERANCES))
+    ranks.add_argument("--t-rank", type=int, default=12)
+    ranks.add_argument("--b-rank", type=int, default=10)
+    ranks.add_argument("--f-rank", type=int, default=None,
+                       help="frequency rank for --free-w; defaults to the pitch-class count")
+    ntd.add_argument("--free-w", action="store_true",
+                     help="optimize W instead of fixing it to the identity")
+    ntd.add_argument("--max-outer-iters", type=int, default=NtdConfig.max_outer_iters)
+    ntd.add_argument("--outer-tolerance", type=float, default=NtdConfig.outer_tolerance)
+    defaults = segmentation.SegmentationConfig
+    seg.add_argument("--lambda", dest="penalty_weight", type=float, default=defaults.penalty_weight)
+    seg.add_argument("--max-segment-bars", type=int, default=defaults.max_segment_bars)
+    seg.add_argument("--kernel-band", type=int, default=defaults.kernel_band)
+
     parser = argparse.ArgumentParser(prog="ntdseg")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="fit an NTD model and write it to disk")
-    p.add_argument("--chroma", required=True)
-    p.add_argument("--bars", required=True)
-    p.add_argument("--frames-per-bar", type=int, default=96)
-    p.add_argument("--out", required=True)
-    _add_ntd_flags(p)
-
-    p = sub.add_parser("segment", help="decompose and write boundary estimates")
-    p.add_argument("--chroma", required=True)
-    p.add_argument("--bars", required=True)
-    p.add_argument("--frames-per-bar", type=int, default=96)
-    p.add_argument("--out", required=True)
+    sub.add_parser("decompose", parents=[song, frames, ranks, ntd, out],
+                   help="fit an NTD model and write it to disk")
+    p = sub.add_parser("segment", parents=[song, frames, ranks, ntd, seg, out],
+                       help="decompose and write boundary estimates")
     p.add_argument("--autosim-out", default=None,
                    help="optional path for the autosimilarity matrix as TSV")
-    _add_ntd_flags(p)
-    _add_segmentation_flags(p)
-
-    p = sub.add_parser("evaluate", help="score estimated boundaries against a reference")
+    p = sub.add_parser("evaluate", parents=[scoring, out],
+                       help="score estimated boundaries against a reference")
     p.add_argument("--estimate", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--tolerance", type=float, nargs="+", default=list(evaluation.DEFAULT_TOLERANCES))
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("sweep", help="hit rates over a grid of (t_rank, b_rank) pairs")
-    p.add_argument("--chroma", required=True)
-    p.add_argument("--bars", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--frames-per-bar", type=int, default=96)
+    p = sub.add_parser("sweep", parents=[song, frames, ntd, seg, scoring, out],
+                       help="hit rates over a grid of (t_rank, b_rank) pairs at the full F-rank")
     p.add_argument("--rank-min", type=int, default=12)
     p.add_argument("--rank-max", type=int, default=48)
     p.add_argument("--rank-step", type=int, default=4)
-    p.add_argument("--tolerance", type=float, nargs="+", default=list(evaluation.DEFAULT_TOLERANCES))
-    p.add_argument("--out", required=True)
-    _add_ntd_flags(p)
-    _add_segmentation_flags(p)
-
-    p = sub.add_parser("synth", help="write a synthetic song as chromagram/bars/annotation")
+    p = sub.add_parser("synth", parents=[frames],
+                       help="write a synthetic song as chromagram/bars/annotation")
     p.add_argument("--pattern-count", type=int, default=3)
     p.add_argument("--block-bars", type=int, default=8)
     p.add_argument("--blocks", type=int, default=6)
-    p.add_argument("--frames-per-bar", type=int, default=96)
     p.add_argument("--pitch-classes", type=int, default=12)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)

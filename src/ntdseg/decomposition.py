@@ -27,11 +27,6 @@ class NtdRanks:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.f_rank, self.t_rank, self.b_rank)
 
-    def validate_for(self, shape: tuple[int, int, int]) -> None:
-        for rank, dim, name in zip(self.as_tuple(), shape, "FTB"):
-            if rank > dim:
-                raise ValueError(f"{name}-rank {rank} exceeds tensor dimension {dim}")
-
 
 @dataclass(frozen=True)
 class NtdConfig:
@@ -98,11 +93,32 @@ def parameter_count(
     return f * t * b, f * fr + t * tr + b * br + fr * tr * br
 
 
+def check_fit(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig) -> None:
+    """Raise ValueError unless `decompose` can fit `x` at `ranks` under `cfg`."""
+    if x.ndim != 3:
+        raise ValueError(f"input tensor must be order 3, got shape {x.shape}")
+    non_finite = int(np.count_nonzero(~np.isfinite(x)))
+    if non_finite:
+        raise ValueError(f"input tensor has {non_finite} non-finite entries (NaN or inf)")
+    if np.any(x < 0):
+        raise ValueError("input tensor must be nonnegative")
+    with np.errstate(over="ignore"):
+        x_sq = float(np.sum(x * x))
+    if not math.isfinite(x_sq):
+        raise ValueError("squared norm of the input tensor overflows")
+    for rank, dim, name in zip(ranks.as_tuple(), x.shape, "FTB"):
+        if rank > dim:
+            raise ValueError(f"{name}-rank {rank} exceeds tensor dimension {dim}")
+    if cfg.fix_w_to_identity and ranks.f_rank != x.shape[0]:
+        raise ValueError(
+            "fix_w_to_identity requires f_rank equal to the frequency dimension, "
+            f"got f_rank {ranks.f_rank} and frequency dimension {x.shape[0]}"
+        )
+
+
 def initialize(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> NtdModel:
     """Nonnegative model from the absolute values of the truncated HOSVD."""
-    ranks.validate_for(x.shape)
-    if cfg.fix_w_to_identity and ranks.f_rank != x.shape[0]:
-        raise ValueError("fix_w_to_identity requires f_rank equal to the frequency dimension")
+    check_fit(x, ranks, cfg)
     skip = (0,) if cfg.fix_w_to_identity else ()
     w, h, q, core = (np.abs(a) for a in truncated_hosvd(x, ranks.as_tuple(), skip_modes=skip))
     model = NtdModel(w=w, h=h, q=q, core=core, ranks=ranks, objective_trace=[])
@@ -137,18 +153,8 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
 
     This is the only code that contracts `x`: it forms ``x x0 W.T`` once
     per W (once per fit when W is fixed) and reuses it for the H, Q and
-    core steps. It takes ``||x||^2`` once per fit, only to reject an input
-    whose squared norm overflows.
+    core steps. `initialize` runs `check_fit` on the input first.
     """
-    non_finite = int(np.count_nonzero(~np.isfinite(x)))
-    if non_finite:
-        raise ValueError(f"input tensor has {non_finite} non-finite entries (NaN or inf)")
-    if np.any(x < 0):
-        raise ValueError("input tensor must be nonnegative")
-    with np.errstate(over="ignore"):
-        x_sq = float(np.sum(x * x))
-    if not math.isfinite(x_sq):
-        raise ValueError("squared norm of the input tensor overflows")
     model = initialize(x, ranks, cfg)
     w, h, q, core = model.w, model.h, model.q, model.core
     grams = [w.T @ w, h.T @ h, q.T @ q]

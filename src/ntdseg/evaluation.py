@@ -5,8 +5,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import NtdConfig, NtdRanks, decompose
-from .ingest import BarGrid, ReferenceSegmentation
+from .decomposition import NtdConfig, NtdRanks, check_fit, decompose
+from .ingest import BarGrid, ReferenceSegmentation, check_bar_count
 from .segmentation import (
     SegmentationConfig,
     autosimilarity_from_features,
@@ -109,6 +109,7 @@ def segment_song(
 ):
     """Decompose, build the bar autosimilarity and segment; returns the
     timed segmentation, the final objective and the autosimilarity."""
+    check_bar_count(x, bars)
     model = decompose(x, ranks, ntd_cfg)
     autosim = autosimilarity_from_features(model.q)
     seg = boundaries_to_times(segment(autosim, seg_cfg), bars)
@@ -126,8 +127,9 @@ def rank_sweep(
 ) -> dict[tuple[int, int], SweepEntry]:
     """Evaluate the full pipeline on every (t_rank, b_rank) pair.
 
-    Returns a dict keyed by (t_rank, b_rank). Every pair and tolerance is
-    checked against `x` before the first fit.
+    Returns a dict keyed by (t_rank, b_rank); every fit has F-rank
+    `x.shape[0]`. Before the first fit it checks every tolerance, `check_fit`
+    at every pair and the bar count of `x` against `bars`.
     """
     if not grid:
         raise ValueError("rank grid must be nonempty")
@@ -137,10 +139,11 @@ def rank_sweep(
     for t_rank, b_rank in grid:
         try:
             pair_ranks = NtdRanks(x.shape[0], t_rank, b_rank)
-            pair_ranks.validate_for(x.shape)
+            check_fit(x, pair_ranks, ntd_cfg)
         except ValueError as exc:
             raise ValueError(f"rank pair ({t_rank}, {b_rank}): {exc}") from exc
         ranks[t_rank, b_rank] = pair_ranks
+    check_bar_count(x, bars)
     ref_bounds = reference.boundaries()
     sweep = {}
     for (t_rank, b_rank), pair_ranks in ranks.items():
@@ -198,17 +201,18 @@ def fit_lambda(
     """Fit the regularity penalty weight by 2-fold cross-validation over
     a corpus of (tensor, bars, reference) songs split by index parity.
 
-    The ranks of every song, every lambda and the tolerance are checked
-    before the first fit.
+    Before the first fit it checks every lambda, the tolerance, and for
+    each song `check_fit` at `ranks` and its bar count against its grid.
     """
     if len(corpus) < 2:
         raise ValueError("corpus must contain at least 2 songs")
     if not lambda_grid:
         raise ValueError("lambda grid must be nonempty")
     _check_tolerance(tolerance)
-    for k, (x, _, _) in enumerate(corpus):
+    for k, (x, bars, _) in enumerate(corpus):
         try:
-            ranks.validate_for(x.shape)
+            check_fit(x, ranks, ntd_cfg)
+            check_bar_count(x, bars)
         except ValueError as exc:
             raise ValueError(f"song {k}: {exc}") from exc
     lambdas = sorted(set(float(v) for v in lambda_grid))

@@ -254,15 +254,20 @@ def synth_song(
     return tensor, bars, reference
 
 
+def check_bar_count(tensor: np.ndarray, bars: BarGrid) -> None:
+    """Raise ValueError unless the last (bar) mode of `tensor` has one entry per bar."""
+    if tensor.shape[-1] != bars.n_bars:
+        raise ValueError(f"tensor has {tensor.shape[-1]} bars but the bar grid has {bars.n_bars}")
+
+
 def tensor_to_chromagram(tensor: np.ndarray, bars: BarGrid) -> Chromagram:
     """Flatten a bar tensor back to a chromagram, one frame per sub-interval.
 
     Frame times sit at sub-interval centers, so `tensorize` on the result
     reproduces the tensor exactly.
     """
+    check_bar_count(tensor, bars)
     n_pc, frames, n_bars = tensor.shape
-    if n_bars != bars.n_bars:
-        raise ValueError("tensor bar count does not match bar grid")
     width = np.diff(bars.downbeats) / frames
     times = (bars.downbeats[:-1, None] + width[:, None] * (np.arange(frames) + 0.5)).ravel()
     values = tensor.transpose(0, 2, 1).reshape(n_pc, -1)

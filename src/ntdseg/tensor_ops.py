@@ -49,6 +49,8 @@ def truncated_hosvd(
     signs. Modes listed in `skip_modes` get an identity factor instead of
     an SVD; their rank must equal the tensor dimension.
     """
+    if tensor.ndim != 3:
+        raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
     for mode in range(3):
         if ranks[mode] > tensor.shape[mode]:
             raise ValueError(

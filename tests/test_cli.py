@@ -248,3 +248,24 @@ def test_synth_negative_dimension_rejected(tmp_path, capsys, flag):
     assert run(*synth_args(prefix, **{flag: -1})) == 1
     assert f"--{flag} must not be negative, got -1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--t-rank", "--b-rank", "--f-rank"])
+def test_sweep_takes_no_rank_flags(capsys, flag):
+    # sweep fits at the full frequency rank and the grid's (t, b) ranks
+    with pytest.raises(SystemExit) as exit_info:
+        run("sweep", "--chroma", "c.json", "--bars", "b.json", "--reference", "r.txt",
+            "--out", "sweep.tsv", flag, "12")
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, takes_ranks", [
+    ("decompose", True), ("segment", True), ("sweep", False),
+])
+def test_rank_flags_in_help(capsys, command, takes_ranks):
+    with pytest.raises(SystemExit):
+        run(command, "--help")
+    help_text = capsys.readouterr().out
+    for flag in ("--t-rank", "--b-rank", "--f-rank"):
+        assert (flag in help_text) == takes_ranks

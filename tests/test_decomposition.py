@@ -104,7 +104,7 @@ class TestInitialize:
         assert model.objective_trace[0] == pytest.approx(model.objective(t))
 
     def test_fixed_identity_requires_full_f_rank(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got f_rank 3 and frequency dimension 4$"):
             initialize(np.ones((4, 5, 6)), NtdRanks(3, 2, 2), NtdConfig(fix_w_to_identity=True))
 
     def test_rank_exceeds_dimension(self):
@@ -197,6 +197,10 @@ class TestDecompose:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             decompose(-np.ones((2, 2, 2)), NtdRanks(1, 1, 1))
+
+    def test_order_two_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^input tensor must be order 3, got shape \(4, 5\)$"):
+            decompose(np.ones((4, 5)), NtdRanks(2, 2, 2))
 
     def test_nan_input_rejected(self):
         x = np.random.default_rng(9).random((4, 5, 6))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from ntdseg.evaluation import (
     hit_rate,
     oracle_select,
     rank_sweep,
+    segment_song,
     write_sweep_report,
 )
-from ntdseg.ingest import synth_song
+from ntdseg.ingest import BarGrid, synth_song
 from ntdseg.segmentation import Segmentation, SegmentationConfig
 
 
@@ -45,6 +47,35 @@ def make_tiny_song(seed=0, n_patterns=2, block=8, blocks=3, frames=8, pitches=6)
 
 FAST_NTD = NtdConfig(fix_w_to_identity=True, max_outer_iters=30)
 FAST_SEG = SegmentationConfig(penalty_weight=1.0)
+
+
+def defective_song(defect):
+    """`make_tiny_song()` (6 x 8 x 24) with one defect that no fit can accept."""
+    x, bars, ref = make_tiny_song()
+    if defect == "nan":
+        x[1, 2, 3] = np.nan
+    elif defect == "negative":
+        x[1, 2, 3] = -1.0
+    elif defect == "short tensor":
+        x = x[:, :, :10]
+    elif defect == "short grid":
+        bars = BarGrid(bars.downbeats[:17])
+    elif defect == "order 2":
+        x = x[:, :, 0]
+    elif defect == "7 pitch classes":  # a defect only where f_rank is 6 and W is fixed
+        x, bars, ref = make_tiny_song(pitches=7)
+    return x, bars, ref
+
+
+# Each defect with the message the harnesses raise for it, before any fit.
+DEFECTS = [
+    ("nan", "input tensor has 1 non-finite entries (NaN or inf)"),
+    ("negative", "input tensor must be nonnegative"),
+    ("short tensor", "tensor has 10 bars but the bar grid has 24"),
+    ("short grid", "tensor has 24 bars but the bar grid has 16"),
+    ("order 2", "input tensor must be order 3, got shape (6, 8)"),
+]
+BAR_DEFECTS = [d for d in DEFECTS if d[0].startswith("short")]
 
 
 @pytest.fixture
@@ -206,6 +237,20 @@ class TestRankSweep:
             rank_sweep(x, bars, ref, [(2, 2)], FAST_NTD, FAST_SEG, (0.5, tolerance))
         assert fits == []
 
+    @pytest.mark.parametrize("defect, message", DEFECTS)
+    def test_bad_song_rejected_before_any_fit(self, fits, defect, message):
+        prefix = "" if defect in dict(BAR_DEFECTS) else "rank pair (2, 2): "
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix + message)}$"):
+            rank_sweep(*defective_song(defect), [(2, 2)], FAST_NTD, FAST_SEG)
+        assert fits == []
+
+    @pytest.mark.parametrize("defect, message", BAR_DEFECTS)
+    def test_segment_song_rejects_bar_count_mismatch_before_fitting(self, fits, defect, message):
+        x, bars, _ = defective_song(defect)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            segment_song(x, bars, NtdRanks(6, 3, 2), FAST_NTD, FAST_SEG)
+        assert fits == []
+
     def test_report_round_trip(self, tmp_path):
         x, bars, ref = make_tiny_song()
         result = rank_sweep(x, bars, ref, [(2, 2), (3, 2)], FAST_NTD, FAST_SEG)
@@ -331,6 +376,17 @@ class TestFitLambda:
         corpus = [make_tiny_song(seed=0), make_tiny_song(seed=1, blocks=1)]  # 24, 8 bars
         with pytest.raises(ValueError, match="^song 1: B-rank 10 exceeds tensor dimension 8$"):
             fit_lambda(corpus, [0.5], NtdRanks(6, 3, 10), FAST_NTD, FAST_SEG)
+        assert fits == []
+
+    @pytest.mark.parametrize("defect, message", DEFECTS + [(
+        "7 pitch classes",
+        "fix_w_to_identity requires f_rank equal to the frequency dimension, "
+        "got f_rank 6 and frequency dimension 7",
+    )])
+    def test_bad_song_rejected_before_any_fit(self, fits, defect, message):
+        corpus = [make_tiny_song(), defective_song(defect)]
+        with pytest.raises(ValueError, match=f"^{re.escape('song 1: ' + message)}$"):
+            fit_lambda(corpus, [0.5], NtdRanks(6, 3, 2), FAST_NTD, FAST_SEG)
         assert fits == []
 
     def test_small_corpus_rejected(self):

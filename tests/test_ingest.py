@@ -351,6 +351,11 @@ class TestSynthSong:
         back = tensorize(chroma, bars, frames_per_bar=6)
         np.testing.assert_array_equal(back, tensor)
 
+    def test_tensor_to_chromagram_rejects_bar_count_mismatch(self):
+        bars = BarGrid(downbeats=np.arange(6.0))
+        with pytest.raises(ValueError, match="^tensor has 4 bars but the bar grid has 5$"):
+            tensor_to_chromagram(np.ones((3, 2, 4)), bars)
+
     def test_tensor_to_chromagram_matches_per_bar_formula(self):
         rng = np.random.default_rng(12)
         bars = BarGrid(downbeats=np.cumsum(rng.uniform(0.5, 3.0, 9)))

@@ -248,3 +248,7 @@ class TestTruncatedHosvd:
     def test_rank_exceeds_dimension(self):
         with pytest.raises(ValueError):
             ops.truncated_hosvd(np.zeros((2, 3, 4)), (3, 3, 4))
+
+    def test_order_two_tensor_rejected(self):
+        with pytest.raises(ValueError, match=r"^tensor must be order 3, got shape \(4, 5\)$"):
+            ops.truncated_hosvd(np.ones((4, 5)), (2, 2, 2))
