@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     ntd.add_argument("--free-w", action="store_true",
                      help="optimize W instead of fixing it to the identity")
     ntd.add_argument("--max-outer-iters", type=int, default=NtdConfig.max_outer_iters)
-    ntd.add_argument("--outer-tolerance", type=float, default=NtdConfig.outer_tolerance)
     defaults = segmentation.SegmentationConfig
     seg.add_argument("--lambda", dest="penalty_weight", type=float, default=defaults.penalty_weight)
     seg.add_argument("--max-segment-bars", type=int, default=defaults.max_segment_bars)
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _ntd_config(args) -> NtdConfig:
     return NtdConfig(
         max_outer_iters=args.max_outer_iters,
-        outer_tolerance=args.outer_tolerance,
         fix_w_to_identity=not args.free_w,
     )
 

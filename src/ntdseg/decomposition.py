@@ -31,14 +31,11 @@ class NtdRanks:
 @dataclass(frozen=True)
 class NtdConfig:
     max_outer_iters: int = 100
-    outer_tolerance: float = 1e-8
     fix_w_to_identity: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.max_outer_iters, Integral) and self.max_outer_iters >= 0):
             raise ValueError("max_outer_iters must be a nonnegative integer")
-        if not 0.0 <= self.outer_tolerance < 1.0:
-            raise ValueError("outer_tolerance must lie in [0, 1)")
 
 
 @dataclass
@@ -146,10 +143,10 @@ def _factor_problem(
 
 
 def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> NtdModel:
-    """Alternating NTD from the HOSVD start: cyclic factor updates, then
-    the core, until the relative objective improvement stalls. The returned
-    model is normalized; its objective trace holds one entry per completed
-    cycle plus the initial value.
+    """Alternating NTD from the HOSVD start: exactly `cfg.max_outer_iters`
+    cycles of factor updates, then the core. The returned model is
+    normalized; its objective trace holds the initial value plus one entry
+    per cycle.
 
     This is the only code that contracts `x`: it forms ``x x0 W.T`` once
     per W (once per fit when W is fixed) and reuses it for the H, Q and
@@ -158,7 +155,6 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
     model = initialize(x, ranks, cfg)
     w, h, q, core = model.w, model.h, model.q, model.core
     grams = [w.T @ w, h.T @ h, q.T @ q]
-    objective = model.objective_trace[0]
     xw = mode_product(x, w.T, 0) if cfg.fix_w_to_identity else None
     for iteration in range(cfg.max_outer_iters):
         if not cfg.fix_w_to_identity:
@@ -174,16 +170,12 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
         core = core_prox_gradient(tuple(grams), mode_product(xwh, q.T, 2), core)
 
         model.w, model.h, model.q, model.core = w, h, q, core
-        new_objective = model.objective(x)
-        if not np.isfinite(new_objective):
+        objective = model.objective(x)
+        if not np.isfinite(objective):
             raise FloatingPointError(
                 f"non-finite objective at outer iteration {iteration}"
             )
-        model.objective_trace.append(new_objective)
-        improvement = objective - new_objective
-        objective = new_objective
-        if improvement < cfg.outer_tolerance * max(objective, 1e-300):
-            break
+        model.objective_trace.append(objective)
     return normalize(model)
 
 

@@ -255,7 +255,9 @@ def synth_song(
 
 
 def check_bar_count(tensor: np.ndarray, bars: BarGrid) -> None:
-    """Raise ValueError unless the last (bar) mode of `tensor` has one entry per bar."""
+    """Raise ValueError unless `tensor` is order 3 with one entry per bar on its last mode."""
+    if tensor.ndim != 3:
+        raise ValueError(f"input tensor must be order 3, got shape {tensor.shape}")
     if tensor.shape[-1] != bars.n_bars:
         raise ValueError(f"tensor has {tensor.shape[-1]} bars but the bar grid has {bars.n_bars}")
 

@@ -65,7 +65,9 @@ def test_decompose_deterministic(tmp_path):
     assert open(out1).read() == open(out2).read()
     model = NtdModel.from_json(open(out1).read())
     assert model.q.shape == (24, 2)
-    assert json.loads(open(out1).read())["config"]["fix_w_to_identity"] is True
+    assert len(model.objective_trace) == 101
+    config = {"max_outer_iters": 100, "fix_w_to_identity": True}
+    assert json.loads(open(out1).read())["config"] == config
 
 
 def test_synth_artifacts_round_trip(tmp_path):
@@ -258,6 +260,17 @@ def test_sweep_takes_no_rank_flags(capsys, flag):
             "--out", "sweep.tsv", flag, "12")
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "segment", "sweep"])
+def test_outer_tolerance_flag_rejected(capsys, command):
+    # the fit runs exactly --max-outer-iters cycles; there is no other stopping rule
+    scoring = ("--reference", "r.txt") if command == "sweep" else ()
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, "--chroma", "c.json", "--bars", "b.json", *scoring,
+            "--out", "out", "--outer-tolerance", "1e-8")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --outer-tolerance 1e-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, takes_ranks", [

@@ -341,6 +341,7 @@ class TestSynthSong:
         )
         start_from(monkeypatch, truth)
         model = decompose(x, truth.ranks, NtdConfig(max_outer_iters=20))
+        assert len(model.objective_trace) == 21
         assert model.objective_trace[-1] <= 1e-10 * np.sum(x * x)
 
     def test_tensor_to_chromagram_round_trip(self):
@@ -355,6 +356,8 @@ class TestSynthSong:
         bars = BarGrid(downbeats=np.arange(6.0))
         with pytest.raises(ValueError, match="^tensor has 4 bars but the bar grid has 5$"):
             tensor_to_chromagram(np.ones((3, 2, 4)), bars)
+        with pytest.raises(ValueError, match=r"^input tensor must be order 3, got shape \(3, 5\)$"):
+            tensor_to_chromagram(np.ones((3, 5)), bars)
 
     def test_tensor_to_chromagram_matches_per_bar_formula(self):
         rng = np.random.default_rng(12)
