@@ -150,8 +150,18 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
 
     This is the only code that contracts `x`: it forms ``x x0 W.T`` once
     per W (once per fit when W is fixed) and reuses it for the H, Q and
-    core steps. `initialize` runs `check_fit` on the input first.
+    core steps. It runs `check_fit` on the input first.
+
+    The fit runs on ``x / 2**e``, with ``2**e`` the power of two just above
+    the largest entry, and the returned Q and objective trace carry
+    ``2**e`` and ``4**e`` back. A power-of-two scale is exact, so
+    ``decompose(2**k * x)`` is ``decompose(x)`` with Q scaled by ``2**k``,
+    and the factor Grams cannot underflow on a tiny input.
     """
+    check_fit(x, ranks, cfg)
+    exponent = int(np.frexp(x.max())[1])
+    if exponent:  # no copy when the largest entry is already in [0.5, 1)
+        x = np.ldexp(x, -exponent)
     model = initialize(x, ranks, cfg)
     w, h, q, core = model.w, model.h, model.q, model.core
     grams = [w.T @ w, h.T @ h, q.T @ q]
@@ -176,7 +186,12 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
                 f"non-finite objective at outer iteration {iteration}"
             )
         model.objective_trace.append(objective)
-    return normalize(model)
+    model = normalize(model)
+    return replace(
+        model,
+        q=np.ldexp(model.q, exponent),
+        objective_trace=[math.ldexp(v, 2 * exponent) for v in model.objective_trace],
+    )
 
 
 def normalize(model: NtdModel) -> NtdModel:

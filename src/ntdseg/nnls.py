@@ -2,15 +2,19 @@
 
 Two solvers back the alternating Tucker updates, both in normal-equation
 (Gram) form, so neither touches the data tensor: an accelerated
-hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and a
-projected gradient method with a Lipschitz step for the core tensor, which
-reads the three factor Grams and the data projected onto the factors.
-Both take plain arrays and check their shapes and finiteness first, and
-neither evaluates an objective. Fixed iteration caps are the only stopping
-rule: HALS runs ``min(MAX_INNER_ITERS, ceil((1 + r) / 2))`` sweeps for rank
-``r`` and the core runs ``MAX_INNER_ITERS`` steps. Neither solver keeps
-state apart from its iterate, so to iterate further, call again from the
-result: k chained calls are exactly k times the cap.
+hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and
+FISTA with gradient restart and a Lipschitz step for the core tensor,
+which reads the three factor Grams and the data projected onto the
+factors. Both take plain arrays and check their shapes and finiteness
+first. Fixed iteration caps are the only stopping rule: HALS runs
+``min(MAX_INNER_ITERS, ceil((1 + r) / 2))`` sweeps for rank ``r``. The
+core runs ``CORE_STEPS`` (30) FISTA steps and returns its end point or its
+start, whichever has the lower objective, because FISTA alone is not
+monotone. So neither solver raises its objective.
+Neither keeps state apart from its iterate, so to iterate further, call
+again from the result. k chained HALS calls are exactly k times the cap;
+the core's momentum starts afresh at each call, so chained core calls are
+not one longer call.
 
 The core step runs on the live sub-core only: a slice whose factor has a
 zero column (zero Gram row and column, zero cross slice) has zero gradient
@@ -24,8 +28,10 @@ import math
 
 import numpy as np
 
-# Iteration cap of both solvers: HALS sweeps (see `hals_nnls`) and core steps.
+# Cap on the HALS sweeps of `hals_nnls`.
 MAX_INNER_ITERS = 100
+# FISTA steps per `core_prox_gradient` call.
+CORE_STEPS = 30
 
 
 def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray:
@@ -81,14 +87,17 @@ def core_prox_gradient(
     cross: np.ndarray,
     g0: np.ndarray,
 ) -> np.ndarray:
-    """Projected gradient update of the nonnegative core tensor.
+    """Accelerated projected gradient update of the nonnegative core tensor.
 
     Minimises ``||X - G x0 W x1 H x2 Q||_F^2`` over ``G >= 0`` from
-    ``grams = (W.T W, H.T H, Q.T Q)`` and ``cross = X x0 W.T x1 H.T x2 Q.T``.
-    Each iteration steps along the gradient with step ``1/L``, ``L`` being
-    the product of the largest eigenvalues of the three Grams, then clips
-    at zero, for ``MAX_INNER_ITERS`` steps. To step further, call again
-    from the result.
+    ``grams = (W.T W, H.T H, Q.T Q)`` and ``cross = X x0 W.T x1 H.T x2 Q.T``
+    with ``CORE_STEPS`` FISTA steps (Beck & Teboulle 2009) and the gradient
+    restart of O'Donoghue & Candes (2015). Each step takes a gradient step
+    of ``1/L`` from the extrapolated point and clips at zero, ``L`` being
+    the product of the largest eigenvalues of the three Grams. FISTA is not
+    monotone, so the call returns its start instead of its end point when
+    the start's objective is lower: the result is never worse than ``g0``
+    clipped at zero. To step further, call again from the result.
     """
     expected = cross.shape
     if g0.shape != expected:
@@ -99,11 +108,6 @@ def core_prox_gradient(
         raise ValueError("non-finite entries in core problem")
     if not np.isfinite(g0).all():
         raise ValueError("g0 has non-finite entries")
-
-    lipschitz = math.prod(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
-    if lipschitz <= 0.0:
-        raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
-    step = 1.0 / lipschitz
 
     g = np.maximum(np.asarray(g0, dtype=float), 0.0, out=np.empty(expected))
     # A slice whose Gram row, Gram column and cross slice are all zero has
@@ -118,26 +122,54 @@ def core_prox_gradient(
     ]
     index = np.ix_(*live)
     live_grams = tuple(gram[np.ix_(i, i)] for gram, i in zip(grams, live))
-    g[index] = _prox_steps(live_grams, cross[index], g[index], step)
+    lipschitz = math.prod(float(np.linalg.eigvalsh(gram).max(initial=0.0)) for gram in live_grams)
+    if lipschitz <= 0.0:
+        raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
+    g[index] = _prox_steps(live_grams, cross[index], g[index], 1.0 / lipschitz)
     return g
 
 
-def _prox_steps(grams, cross, g, step):
-    """The projected gradient steps of `core_prox_gradient` from ``g >= 0``,
-    which they overwrite."""
+def _prox_steps(grams, cross, start, step):
+    """The FISTA steps of `core_prox_gradient` from ``start >= 0``: the end
+    point, or `start` if its objective is lower."""
     gram_w, gram_h, gram_q = grams
     shape = cross.shape
-    g_next = np.empty(shape)
     partial = np.empty(shape)
     image = np.empty(shape)
-    for _ in range(MAX_INNER_ITERS):
-        # image = G x0 (W.T W) x1 (H.T H) x2 (Q.T Q)
+
+    def gram_image(g):
+        # G x0 (W.T W) x1 (H.T H) x2 (Q.T Q), into `image`
         np.matmul(gram_h, (gram_w @ g.reshape(shape[0], -1)).reshape(shape), out=partial)
-        np.matmul(partial, gram_q.T, out=image)
-        # g_next = max(0, g - step * (image - cross))
+        return np.matmul(partial, gram_q.T, out=image)
+
+    def objective(g, g_image):
+        # ||X - G x0 W x1 H x2 Q||_F^2 - ||X||_F^2
+        return np.vdot(g, g_image) - 2.0 * np.vdot(cross, g)
+
+    g, y = start.copy(), start.copy()  # iterate and extrapolated point
+    g_next, move = np.empty(shape), np.empty(shape)
+    t = 1.0
+    for k in range(CORE_STEPS):
+        gram_image(y)
+        if k == 0:  # y is the start
+            start_objective = objective(start, image)
+        # g_next = max(0, y - step * (image - cross))
         np.subtract(image, cross, out=g_next)
         np.multiply(step, g_next, out=g_next)
-        np.subtract(g, g_next, out=g_next)
+        np.subtract(y, g_next, out=g_next)
         np.maximum(0.0, g_next, out=g_next)
+        # restart when <y - g_next, g_next - g> > 0, else extrapolate
+        np.subtract(y, g_next, out=y)
+        np.subtract(g_next, g, out=move)
+        if np.vdot(y, move) > 0.0:
+            t = 1.0
+            np.copyto(y, g_next)
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            np.multiply((t - 1.0) / t_next, move, out=y)
+            np.add(g_next, y, out=y)
+            t = t_next
         g, g_next = g_next, g
-    return g
+    if objective(g, gram_image(g)) <= start_objective:
+        return g
+    return start

@@ -1,11 +1,15 @@
+import math
 import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ntdseg import decomposition
+from ntdseg.ingest import synth_song
 from ntdseg.decomposition import (
     NtdConfig,
     NtdModel,
@@ -25,7 +29,9 @@ def start_from(monkeypatch, truth: NtdModel) -> None:
     """Make `decompose` start from `truth` instead of the HOSVD."""
 
     def initialize_at_truth(x, ranks, cfg):
-        return replace(truth, objective_trace=[truth.objective(x)])
+        # `decompose` fits x scaled by a power of two; the truth's core scales alike
+        start = replace(truth, core=truth.core * (x.max() / truth.reconstruct().max()))
+        return replace(start, objective_trace=[start.objective(x)])
 
     monkeypatch.setattr(decomposition, "initialize", initialize_at_truth)
 
@@ -212,6 +218,45 @@ class TestDecompose:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="squared norm of the input tensor overflows"):
                 decompose(x, NtdRanks(2, 2, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(-1000, 500),
+        fix_w=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=-665, fix_w=True, seed=0)  # about 1e-200
+    @example(k=-997, fix_w=False, seed=1)  # about 1e-300
+    def test_power_of_two_scale(self, k, fix_w, seed):
+        # entries in [1/4, 1) or zero: 2**k x is exact for k in [-1000, 500]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.25, 1.0, (12, 16, 20)) * (rng.random((12, 16, 20)) < 0.9)
+        ranks = NtdRanks(12 if fix_w else 4, 4, 4)
+        cfg = NtdConfig(max_outer_iters=10, fix_w_to_identity=fix_w)
+        model = decompose(x, ranks, cfg)
+        scaled = decompose(np.ldexp(x, k), ranks, cfg)
+        for fit, expected in zip(
+            (scaled.w, scaled.h, scaled.q, scaled.core),
+            (model.w, model.h, np.ldexp(model.q, k), model.core),
+        ):
+            assert fit.tobytes() == expected.tobytes()
+        assert scaled.objective_trace == [math.ldexp(v, 2 * k) for v in model.objective_trace]
+
+    @pytest.mark.parametrize("motifs", [3, 4, 5])
+    def test_motif_partition(self, motifs):
+        # The paper's claim: on a zero-noise song of 24 bars, each one of
+        # `motifs` random 12x16 motifs, the fit at b-rank `motifs` puts each
+        # bar's largest Q entry on its motif's column. Seeds 0-9 all pass; a
+        # 100-step projected-gradient core merges two motifs on seed 5 with
+        # 4 motifs.
+        for seed in range(10):
+            rng = np.random.default_rng([seed, motifs])
+            patterns = [rng.random((12, 16)) for _ in range(motifs)]
+            labels = rng.permutation(np.arange(24) % motifs).tolist()
+            x, _, _ = synth_song(patterns, labels)
+            cfg = NtdConfig(max_outer_iters=100, fix_w_to_identity=True)
+            found = np.argmax(decompose(x, NtdRanks(12, 6, motifs), cfg).q, axis=1).tolist()
+            assert len(set(zip(labels, found))) == len(set(found)) == motifs, seed
 
     def test_membership_recovery_on_separated_patterns(self):
         # well-separated bar patterns: argmax rows of q map onto the true
