@@ -122,6 +122,7 @@ def core_prox_gradient(
     ]
     index = np.ix_(*live)
     live_grams = tuple(gram[np.ix_(i, i)] for gram, i in zip(grams, live))
+    # a mode with no live slice has an empty Gram and a zero bound
     lipschitz = math.prod(float(np.linalg.eigvalsh(gram).max(initial=0.0)) for gram in live_grams)
     if lipschitz <= 0.0:
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntdseg import decomposition
-from ntdseg.ingest import synth_song
 from ntdseg.decomposition import (
     NtdConfig,
     NtdModel,
@@ -19,6 +18,7 @@ from ntdseg.decomposition import (
     normalize,
     parameter_count,
 )
+from ntdseg.ingest import synth_song
 from ntdseg.nnls import core_prox_gradient, hals_nnls
 from ntdseg.tensor_ops import mode_product, reconstruct
 
