@@ -51,9 +51,7 @@ class NtdModel:
         return reconstruct(self.core, self.w, self.h, self.q)
 
     def objective(self, x: np.ndarray) -> float:
-        residual = self.reconstruct()
-        np.subtract(x, residual, out=residual)  # no second tensor-sized temporary
-        return float(np.linalg.norm(residual)) ** 2
+        return float(np.linalg.norm(x - self.reconstruct())) ** 2
 
     def to_json(self, config: "NtdConfig | None" = None) -> str:
         doc = {
