@@ -94,13 +94,13 @@ def check_fit(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig) -> None:
     """Raise ValueError unless `decompose` can fit `x` at `ranks` under `cfg`."""
     if x.ndim != 3:
         raise ValueError(f"input tensor must be order 3, got shape {x.shape}")
-    non_finite = int(np.count_nonzero(~np.isfinite(x)))
+    with np.errstate(over="ignore"):
+        x_sq = float(np.einsum("ijk,ijk->", x, x))  # no copy of x in any layout
+    non_finite = 0 if math.isfinite(x_sq) else int(np.count_nonzero(~np.isfinite(x)))
     if non_finite:
         raise ValueError(f"input tensor has {non_finite} non-finite entries (NaN or inf)")
-    if np.any(x < 0):
+    if x.size and x.min() < 0:
         raise ValueError("input tensor must be nonnegative")
-    with np.errstate(over="ignore"):
-        x_sq = float(np.sum(x * x))
     if not math.isfinite(x_sq):
         raise ValueError("squared norm of the input tensor overflows")
     for rank, dim, name in zip(ranks.as_tuple(), x.shape, "FTB"):
@@ -148,9 +148,9 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
     normalized; its objective trace holds the initial value plus one entry
     per cycle.
 
-    This is the only code that contracts `x`: it forms ``x x0 W.T`` once
-    per W (once per fit when W is fixed) and reuses it for the H, Q and
-    core steps. It runs `check_fit` on the input first.
+    This is the only code that contracts `x`. Every fit works on its own
+    scaled, C-ordered copy of `x`, which is ``x x0 W.T`` when W is fixed; a
+    free W forms ``x x0 W.T`` once per W. `check_fit` runs on `x` first.
 
     The fit runs on ``x / 2**e``, with ``2**e`` the power of two just above
     the largest entry, and the returned Q and objective trace carry
@@ -160,12 +160,11 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
     """
     check_fit(x, ranks, cfg)
     exponent = int(np.frexp(x.max())[1])
-    if exponent:  # no copy when the largest entry is already in [0.5, 1)
-        x = np.ldexp(x, -exponent)
+    x = np.ldexp(x, -exponent, order="C")  # C order: same bits for every input layout
     model = initialize(x, ranks, cfg)
     w, h, q, core = model.w, model.h, model.q, model.core
     grams = [w.T @ w, h.T @ h, q.T @ q]
-    xw = mode_product(x, w.T, 0) if cfg.fix_w_to_identity else None
+    xw = x  # x x0 W.T for the fixed identity W; a free W step replaces it
     for iteration in range(cfg.max_outer_iters):
         if not cfg.fix_w_to_identity:
             xhq = mode_product(mode_product(x, h.T, 1), q.T, 2)

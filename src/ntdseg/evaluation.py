@@ -61,6 +61,8 @@ def hit_rate(reference, estimate, tolerance: float) -> HitRateScore:
     """
     reference = [float(t) for t in reference]
     estimate = [float(t) for t in estimate]
+    if not np.isfinite(reference + estimate).all():
+        raise ValueError("boundary times must be finite, got NaN or inf")
     if reference != sorted(reference) or estimate != sorted(estimate):
         raise ValueError("boundary lists must be sorted ascending")
     _check_tolerance(tolerance)

@@ -13,6 +13,7 @@ from ntdseg.decomposition import (
     NtdConfig,
     NtdModel,
     NtdRanks,
+    check_fit,
     decompose,
     initialize,
     normalize,
@@ -277,36 +278,64 @@ class TestDecompose:
         assert len(set(mapping.values())) == 3
 
 
+class TestCheckFit:
+    # One message per input, in this order: non-finite entries, a negative
+    # entry, an overflowing squared norm, then the ranks.
+    @pytest.mark.parametrize(
+        "x, match",
+        [
+            (np.where(np.arange(120).reshape(4, 5, 6) < 3, np.nan, -1.0),
+             "^input tensor has 3 non-finite entries"),
+            (np.full((4, 5, 6), -np.inf), "^input tensor has 120 non-finite entries"),
+            (np.full((4, 5, 6), -1e200), "^input tensor must be nonnegative$"),
+            (np.full((4, 5, 6), 1e200), "^squared norm of the input tensor overflows$"),
+            (np.zeros((0, 5, 6)), "^F-rank 2 exceeds tensor dimension 0$"),
+        ],
+        ids=["nan-and-negative", "negative-inf", "negative-overflow", "overflow", "empty"],
+    )
+    def test_first_problem_named(self, x, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                check_fit(x, NtdRanks(2, 2, 2), NtdConfig())
+
+
 class TestDataPasses:
     @pytest.mark.parametrize("fix_w", [False, True])
-    @pytest.mark.parametrize("layout", ["contiguous", "fortran"])
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
     def test_matches_parent_loop(self, fix_w, layout):
         rng = np.random.default_rng(21)
         x = rng.random((12, 16, 20)) * (rng.random((12, 16, 20)) < 0.9)
         if layout == "fortran":
             x = np.asfortranarray(x)
+        elif layout == "strided":
+            x = x.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        snapshot = x.copy()
         ranks = NtdRanks(12 if fix_w else 5, 6, 9)
         cfg = NtdConfig(max_outer_iters=8, fix_w_to_identity=fix_w)
         expected = decompose_parent_loop(x, ranks, cfg).to_json(cfg)
         assert decompose(x, ranks, cfg).to_json(cfg) == expected
+        assert np.array_equal(x, snapshot)  # the fit never writes to its input
 
     @pytest.mark.parametrize("fix_w", [False, True])
     def test_mode_products_of_x(self, monkeypatch, fix_w):
-        # x x0 W.T once per W: once per fit with W fixed; with W free, that
-        # and the W step's x x1 H.T once per outer iteration
+        # Products of X-sized tensors per outer iteration. With W fixed the
+        # fit's copy of x is x x0 W.T, projected on Q for the H step and on
+        # H for the Q and core steps; nothing multiplies it by the identity.
+        # With W free, the W step's x x1 H.T, then x x0 W.T.
         rng = np.random.default_rng(22)
         x = rng.random((12, 16, 20))
         calls = []
 
         def counting(tensor, matrix, mode):
-            if tensor is x:
+            if tensor.shape == x.shape:
                 calls.append(mode)
             return mode_product(tensor, matrix, mode)
 
         monkeypatch.setattr(decomposition, "mode_product", counting)
         cfg = NtdConfig(max_outer_iters=6, fix_w_to_identity=fix_w)
         decompose(x, NtdRanks(12 if fix_w else 5, 6, 9), cfg)
-        assert calls == ([0] if fix_w else [1, 0] * 6)
+        assert calls == ([2, 1] if fix_w else [1, 0]) * 6
 
 
 class TestNormalize:

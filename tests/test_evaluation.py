@@ -116,6 +116,18 @@ class TestHitRate:
         with pytest.raises(ValueError):
             hit_rate([1.0, 0.0], [0.0], 0.5)
 
+    @pytest.mark.parametrize(
+        "bad", [[0.0, float("nan"), 10.0], [0.0, 10.0, float("inf")], [float("-inf"), 0.0, 10.0]]
+    )
+    @pytest.mark.parametrize("side", ["reference", "estimate"])
+    def test_non_finite_times_rejected(self, bad, side):
+        # each list passes the sorted check; a NaN also stalled the
+        # matching scan, so the 10.0 estimate went unmatched
+        times = {"reference": [0.0, 10.0], "estimate": [0.0, 10.0]}
+        times[side] = bad
+        with pytest.raises(ValueError, match="boundary times must be finite"):
+            hit_rate(times["reference"], times["estimate"], 0.5)
+
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
     def test_non_finite_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be a positive finite number"):

@@ -252,3 +252,28 @@ class TestTruncatedHosvd:
     def test_order_two_tensor_rejected(self):
         with pytest.raises(ValueError, match=r"^tensor must be order 3, got shape \(4, 5\)$"):
             ops.truncated_hosvd(np.ones((4, 5)), (2, 2, 2))
+
+    @pytest.mark.parametrize("skip", [(0,), (1,), (2,), (0, 2)])
+    def test_skipped_mode_gets_identity(self, skip):
+        t = np.random.default_rng(10).random((12, 8, 9))
+        ranks = tuple(t.shape[m] if m in skip else 3 for m in range(3))
+        factors = ops.truncated_hosvd(t, ranks, skip_modes=skip)[:3]
+        for mode, factor in enumerate(factors):
+            assert factor.shape == (t.shape[mode], ranks[mode])
+            if mode in skip:
+                assert np.array_equal(factor, np.eye(t.shape[mode]))
+
+    def test_skipped_mode_requires_full_rank(self):
+        with pytest.raises(ValueError, match=r"^skipped mode 0 requires full rank 12$"):
+            ops.truncated_hosvd(np.ones((12, 8, 9)), (6, 3, 3), skip_modes=(0,))
+
+    @pytest.mark.parametrize("skip", [(), (0,)])
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran"])
+    def test_core_is_the_three_products(self, skip, layout):
+        t = np.random.default_rng(11).random((12, 8, 9))
+        if layout == "fortran":
+            t = np.asfortranarray(t)
+        w, h, q, core = ops.truncated_hosvd(t, (12 if skip else 4, 3, 5), skip_modes=skip)
+        # core[a, b, c] = sum over i, j, k of t[i, j, k] w[i, a] h[j, b] q[k, c]
+        expected = np.einsum("ijk,ia,jb,kc->abc", t, w, h, q)
+        np.testing.assert_allclose(core, expected, rtol=1e-12, atol=1e-12)
