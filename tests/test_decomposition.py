@@ -23,7 +23,7 @@ from ntdseg.ingest import synth_song
 from ntdseg.nnls import core_prox_gradient, hals_nnls
 from ntdseg.tensor_ops import mode_product, reconstruct
 
-from test_nnls import core_problem_from_data
+from test_nnls import assert_same_bits, core_problem_from_data
 
 
 def start_from(monkeypatch, truth: NtdModel) -> None:
@@ -300,6 +300,18 @@ class TestCheckFit:
                 check_fit(x, NtdRanks(2, 2, 2), NtdConfig())
 
 
+def count_reconstructions(monkeypatch) -> list:
+    """Record each `reconstruct` call that `decomposition` makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(decomposition, "reconstruct", counting)
+    return calls
+
+
 class TestDataPasses:
     @pytest.mark.parametrize("fix_w", [False, True])
     @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
@@ -313,8 +325,15 @@ class TestDataPasses:
         snapshot = x.copy()
         ranks = NtdRanks(12 if fix_w else 5, 6, 9)
         cfg = NtdConfig(max_outer_iters=8, fix_w_to_identity=fix_w)
-        expected = decompose_parent_loop(x, ranks, cfg).to_json(cfg)
-        assert decompose(x, ranks, cfg).to_json(cfg) == expected
+        expected = decompose_parent_loop(x, ranks, cfg)
+        fit = decompose(x, ranks, cfg)
+        for name in ("w", "h", "q", "core"):
+            assert_same_bits(getattr(fit, name), getattr(expected, name))
+        # the oracle takes every objective from the explicit residual, the
+        # fit takes all but the first from the Gram form
+        assert fit.objective_trace[0] == expected.objective_trace[0]
+        assert len(fit.objective_trace) == len(expected.objective_trace)
+        np.testing.assert_allclose(fit.objective_trace, expected.objective_trace, rtol=1e-12)
         assert np.array_equal(x, snapshot)  # the fit never writes to its input
 
     @pytest.mark.parametrize("fix_w", [False, True])
@@ -333,9 +352,86 @@ class TestDataPasses:
             return mode_product(tensor, matrix, mode)
 
         monkeypatch.setattr(decomposition, "mode_product", counting)
+        reconstructions = count_reconstructions(monkeypatch)
         cfg = NtdConfig(max_outer_iters=6, fix_w_to_identity=fix_w)
         decompose(x, NtdRanks(12 if fix_w else 5, 6, 9), cfg)
         assert calls == ([2, 1] if fix_w else [1, 0]) * 6
+        # the initial objective's; each cycle's objective comes from the Grams
+        assert len(reconstructions) == 1
+
+
+def explicit_trace(x, ranks, cfg):
+    """Oracle: ``||x - x^||^2`` of the model after each cycle, from fits
+    capped at 0, 1, ... `cfg.max_outer_iters` cycles."""
+    return [
+        decompose(x, ranks, replace(cfg, max_outer_iters=k)).objective(x)
+        for k in range(cfg.max_outer_iters + 1)
+    ]
+
+
+class TestObjectiveTrace:
+    @pytest.mark.parametrize("fix_w", [False, True])
+    def test_gram_form_matches_explicit(self, fix_w):
+        # the set-up of test_whole_decompose_components_die: dead Q columns
+        rng = np.random.default_rng(21)
+        patterns = rng.random((3, 12, 16))
+        x = patterns[rng.integers(0, 3, 20)].transpose(1, 2, 0) + 0.01 * rng.random((12, 16, 20))
+        ranks = NtdRanks(12 if fix_w else 5, 6, 16)
+        cfg = NtdConfig(max_outer_iters=25, fix_w_to_identity=fix_w)
+        model = decompose(x, ranks, cfg)
+        assert (model.q == 0.0).all(axis=0).sum() >= 5
+        trace = np.array(model.objective_trace)
+        assert trace.min() > decomposition.GRAM_OBJECTIVE_FLOOR * float(np.vdot(x, x))
+        np.testing.assert_allclose(trace, explicit_trace(x, ranks, cfg), rtol=1e-12)
+
+    def test_explicit_near_zero(self, monkeypatch):
+        # An exact low-rank tensor: the objective falls from above the floor
+        # to below it, where the Gram form would subtract terms of ||x||^2.
+        rng = np.random.default_rng(2)
+        truth = random_model(rng, dims=(6, 7, 8), ranks=(2, 3, 2))
+        x = truth.reconstruct()
+        x_sq = float(np.vdot(x, x))
+        cfg = NtdConfig(max_outer_iters=30)
+        explicit = explicit_trace(x, truth.ranks, cfg)
+        calls = count_reconstructions(monkeypatch)
+        trace = np.array(decompose(x, truth.ranks, cfg).objective_trace)
+        floor = decomposition.GRAM_OBJECTIVE_FLOOR * x_sq
+        assert (trace > 10 * floor).any() and (trace < floor).any()
+        assert 1 < len(calls) < 1 + cfg.max_outer_iters  # the fallback, not every cycle
+        assert (trace >= 0.0).all()
+        np.testing.assert_allclose(trace, explicit, rtol=0.0, atol=1e-14 * x_sq)
+
+
+class TestDtypes:
+    @pytest.mark.parametrize(
+        "dtype",
+        [bool, np.uint8, np.int8, np.int16, np.int32, np.int64, np.uint64,
+         np.float16, np.float32],
+    )
+    @pytest.mark.parametrize("fix_w", [False, True])
+    def test_real_dtypes_fit_as_float64(self, dtype, fix_w):
+        rng = np.random.default_rng(23)
+        x = rng.integers(0, 100, (12, 16, 20)).astype(dtype)
+        ranks = NtdRanks(12 if fix_w else 5, 6, 9)
+        cfg = NtdConfig(max_outer_iters=5, fix_w_to_identity=fix_w)
+        expected = decompose(x.astype(float), ranks, cfg).to_json(cfg)
+        assert decompose(x, ranks, cfg).to_json(cfg) == expected
+
+    @pytest.mark.parametrize(
+        "x, name",
+        [(np.ones((4, 5, 6), dtype=complex), "complex128"),
+         (np.ones((4, 5, 6), dtype=object), "object"),
+         (np.ones((4, 5), dtype=np.complex64), "complex64"),  # dtype before order
+         (np.ones((4, 5, 6), dtype=np.longdouble), str(np.dtype(np.longdouble))),
+         (np.ones((4, 5, 6), dtype="U1"), "<U1")],
+    )
+    def test_unsupported_dtype_rejected(self, x, name):
+        if np.can_cast(x.dtype, np.float64):
+            pytest.skip(f"{name} is float64 on this platform")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"of at most 64 bits, got dtype {name}$"):
+                decompose(x, NtdRanks(2, 2, 2))
 
 
 class TestNormalize:
