@@ -9,7 +9,7 @@ from numbers import Integral
 import numpy as np
 
 from .nnls import core_prox_gradient, hals_nnls
-from .tensor_ops import mode_product, reconstruct, truncated_hosvd
+from .tensor_ops import check_real, mode_product, reconstruct, truncated_hosvd
 
 # Below this fraction of ||x||^2, `decompose` takes a cycle's objective
 # from the explicit residual instead of the Gram form. The Gram form adds
@@ -101,10 +101,7 @@ def parameter_count(
 
 def check_fit(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig) -> None:
     """Raise ValueError unless `decompose` can fit `x` at `ranks` under `cfg`."""
-    if not np.can_cast(x.dtype, np.float64):
-        raise ValueError(
-            f"input tensor must be bool, integer or float of at most 64 bits, got dtype {x.dtype}"
-        )
+    check_real(x, "input tensor")
     if x.ndim != 3:
         raise ValueError(f"input tensor must be order 3, got shape {x.shape}")
     with np.errstate(over="ignore"):
@@ -161,10 +158,8 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
     cycles of factor updates, then the core. The returned model is
     normalized; its objective trace holds the initial value plus one entry
     per cycle. The initial value is the explicit ``||x - x^||^2``; each
-    cycle's entry comes from the Gram form ``||x||^2 + <G, G x0 W.T W x1
-    H.T H x2 Q.T Q> - 2 <x x0 W.T x1 H.T x2 Q.T, G>``, which reads only
-    core-sized arrays, unless it falls below ``GRAM_OBJECTIVE_FLOOR *
-    ||x||^2``, where the explicit residual replaces it.
+    cycle's is ``||x||^2`` plus `core_prox_gradient`'s ``value``, or the
+    explicit residual where that is below ``GRAM_OBJECTIVE_FLOOR * ||x||^2``.
 
     This is the only code that contracts `x`. Every fit works on its own
     scaled, C-ordered copy of `x`, which is ``x x0 W.T`` when W is fixed; a
@@ -196,15 +191,10 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
         xwh = mode_product(xw, h.T, 1)
         q = hals_nnls(*_factor_problem(xwh, core, grams, 2), q.T).T
         grams[2] = q.T @ q
-        cross = mode_product(xwh, q.T, 2)
-        core = core_prox_gradient(tuple(grams), cross, core)
+        core, value = core_prox_gradient(tuple(grams), mode_product(xwh, q.T, 2), core)
 
         model.w, model.h, model.q, model.core = w, h, q, core
-        # the Gram form of ||x - x^||^2; see the docstring
-        image = core
-        for mode, gram in enumerate(grams):
-            image = mode_product(image, gram, mode)
-        objective = x_sq + float(np.vdot(core, image)) - 2.0 * float(np.vdot(cross, core))
+        objective = x_sq + value
         if objective < GRAM_OBJECTIVE_FLOOR * x_sq:
             objective = model.objective(x)
         if not np.isfinite(objective):

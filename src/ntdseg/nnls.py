@@ -5,12 +5,14 @@ Two solvers back the alternating Tucker updates, both in normal-equation
 hierarchical ALS for matrix problems ``min_{Z>=0} ||Y - A Z||_F^2``, and
 FISTA with gradient restart and a Lipschitz step for the core tensor,
 which reads the three factor Grams and the data projected onto the
-factors. Both take plain arrays and check their shapes and finiteness
-first. Fixed iteration caps are the only stopping rule: HALS runs
-``min(MAX_INNER_ITERS, ceil((1 + r) / 2))`` sweeps for rank ``r``. The
-core runs ``CORE_STEPS`` (30) FISTA steps and returns its end point or its
-start, whichever has the lower objective, because FISTA alone is not
-monotone. So neither solver raises its objective.
+factors. Both take plain arrays, read them as float64 and check their
+dtypes, shapes and finiteness first. Fixed iteration caps are the only
+stopping rule: HALS runs ``min(MAX_INNER_ITERS, ceil((1 + r) / 2))``
+sweeps for rank ``r``. The core runs ``CORE_STEPS`` (30) FISTA steps and
+returns its end point or its start, whichever has the lower objective,
+because FISTA alone is not monotone. So neither solver raises its
+objective, and the core step returns it as ``value``:
+``||X - G x0 W x1 H x2 Q||_F^2 - ||X||_F^2`` of the core.
 Neither keeps state apart from its iterate, so to iterate further, call
 again from the result. k chained HALS calls are exactly k times the cap;
 the core's momentum starts afresh at each call, so chained core calls are
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .tensor_ops import check_real
 
 # Cap on the HALS sweeps of `hals_nnls`.
 MAX_INNER_ITERS = 100
@@ -48,6 +52,9 @@ def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray
     exactly zero and no update increases the objective. Never returns
     negative entries. To sweep further, call again from the result.
     """
+    for array, name in ((gram, "gram"), (cross, "cross"), (z0, "z0")):
+        check_real(array, name)
+    gram, cross = np.asarray(gram, dtype=float), np.asarray(cross, dtype=float)
     r = cross.shape[0]
     if gram.shape != (r, r):
         raise ValueError(
@@ -86,7 +93,7 @@ def core_prox_gradient(
     grams: tuple[np.ndarray, np.ndarray, np.ndarray],
     cross: np.ndarray,
     g0: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Accelerated projected gradient update of the nonnegative core tensor.
 
     Minimises ``||X - G x0 W x1 H x2 Q||_F^2`` over ``G >= 0`` from
@@ -97,8 +104,15 @@ def core_prox_gradient(
     the product of the largest eigenvalues of the three Grams. FISTA is not
     monotone, so the call returns its start instead of its end point when
     the start's objective is lower: the result is never worse than ``g0``
-    clipped at zero. To step further, call again from the result.
+    clipped at zero. It returns ``(core, value)``, with ``value`` the
+    objective ``||X - G x0 W x1 H x2 Q||_F^2 - ||X||_F^2`` of that core,
+    ``<G, G x0 W.T W x1 H.T H x2 Q.T Q> - 2 <cross, G>``, which the end
+    guard compared. To step further, call again from the core.
     """
+    for array, name in [(gram, "factor Grams") for gram in grams] + [(cross, "cross"), (g0, "g0")]:
+        check_real(array, name)
+    grams = tuple(np.asarray(gram, dtype=float) for gram in grams)
+    cross, g0 = np.asarray(cross, dtype=float), np.asarray(g0, dtype=float)
     expected = cross.shape
     if g0.shape != expected:
         raise ValueError(f"core shape {g0.shape} does not match cross shape {expected}")
@@ -109,7 +123,7 @@ def core_prox_gradient(
     if not np.isfinite(g0).all():
         raise ValueError("g0 has non-finite entries")
 
-    g = np.maximum(np.asarray(g0, dtype=float), 0.0, out=np.empty(expected))
+    g = np.maximum(g0, 0.0, out=np.empty(expected))
     # A slice whose Gram row, Gram column and cross slice are all zero has
     # zero gradient and adds nothing to any other slice's Gram image, so it
     # keeps its value and the steps run on the live sub-core alone.
@@ -126,13 +140,14 @@ def core_prox_gradient(
     lipschitz = math.prod(float(np.linalg.eigvalsh(gram).max(initial=0.0)) for gram in live_grams)
     if lipschitz <= 0.0:
         raise ValueError("degenerate factors: zero Lipschitz bound for the core step")
-    g[index] = _prox_steps(live_grams, cross[index], g[index], 1.0 / lipschitz)
-    return g
+    # the dead slices add nothing to the objective either: the sub-core's is the core's
+    g[index], value = _prox_steps(live_grams, cross[index], g[index], 1.0 / lipschitz)
+    return g, float(value)
 
 
 def _prox_steps(grams, cross, start, step):
     """The FISTA steps of `core_prox_gradient` from ``start >= 0``: the end
-    point, or `start` if its objective is lower."""
+    point, or `start` if its objective is lower, and that objective."""
     gram_w, gram_h, gram_q = grams
     shape = cross.shape
     partial = np.empty(shape)
@@ -171,6 +186,7 @@ def _prox_steps(grams, cross, start, step):
             np.add(g_next, y, out=y)
             t = t_next
         g, g_next = g_next, g
-    if objective(g, gram_image(g)) <= start_objective:
-        return g
-    return start
+    end_objective = objective(g, gram_image(g))
+    if end_objective <= start_objective:
+        return g, end_objective
+    return start, start_objective

@@ -7,6 +7,7 @@ from numbers import Integral
 import numpy as np
 
 from .ingest import BarGrid
+from .tensor_ops import check_real
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ def autosimilarity_from_features(features: np.ndarray) -> np.ndarray:
     product, giving a symmetric matrix with entries in [0, 1] for
     nonnegative features and unit diagonal on nonzero rows.
     """
+    check_real(features, "features")
     features = np.asarray(features, dtype=float)
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -96,6 +98,8 @@ def segment(a: np.ndarray, cfg: SegmentationConfig = SegmentationConfig()) -> Se
     with segments no longer than `max_segment_bars`. Ties prefer fewer
     segments, then the lexicographically smallest boundary sequence.
     """
+    check_real(a, "autosimilarity")
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"autosimilarity must be a square matrix, got shape {a.shape}")
     size = a.shape[0]

@@ -4,6 +4,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_real(array, name: str) -> None:
+    """Raise ValueError unless `array` is bool, integer or float of at most
+    64 bits, the dtypes that numpy casts safely to float64."""
+    dtype = np.asarray(array).dtype
+    if not np.can_cast(dtype, np.float64):
+        raise ValueError(
+            f"{name} must be bool, integer or float of at most 64 bits, got dtype {dtype}"
+        )
+
+
 def _check_mode(mode: int) -> None:
     if mode not in (0, 1, 2):
         raise ValueError(f"mode must be 0, 1 or 2, got {mode}")
@@ -47,8 +57,11 @@ def truncated_hosvd(
     singular vectors of the tensor's mode-n fibers and
     ``core = tensor x0 w.T x1 h.T x2 q.T``; factors and core keep their
     signs. Modes listed in `skip_modes` get an identity factor instead of
-    an SVD; their rank must equal the tensor dimension.
+    an SVD; their rank must equal the tensor dimension. The tensor is read
+    as float64.
     """
+    check_real(tensor, "tensor")
+    tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
     for mode in range(3):

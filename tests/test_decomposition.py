@@ -55,7 +55,7 @@ def decompose_parent_loop(x, ranks, cfg=NtdConfig()):
             gram = np.tensordot(core, core_image, axes=(others, others))
             cross = np.tensordot(core, projected, axes=(others, others))
             factors[mode] = hals_nnls(gram, cross, factors[mode].T).T
-        core = core_prox_gradient(*core_problem_from_data(x, *factors), core)
+        core, _ = core_prox_gradient(*core_problem_from_data(x, *factors), core)
         model.objective_trace.append(float(np.linalg.norm(x - reconstruct(core, *factors))) ** 2)
     model.w, model.h, model.q, model.core = factors[0], factors[1], factors[2], core
     return normalize(model)
@@ -344,9 +344,10 @@ class TestDataPasses:
         # With W free, the W step's x x1 H.T, then x x0 W.T.
         rng = np.random.default_rng(22)
         x = rng.random((12, 16, 20))
-        calls = []
+        calls, every = [], []
 
         def counting(tensor, matrix, mode):
+            every.append(mode)
             if tensor.shape == x.shape:
                 calls.append(mode)
             return mode_product(tensor, matrix, mode)
@@ -356,6 +357,11 @@ class TestDataPasses:
         cfg = NtdConfig(max_outer_iters=6, fix_w_to_identity=fix_w)
         decompose(x, NtdRanks(12 if fix_w else 5, 6, 9), cfg)
         assert calls == ([2, 1] if fix_w else [1, 0]) * 6
+        # Every product per cycle: two per factor problem, the H problem's
+        # (x x0 W.T) x2 Q.T, x x0 W.T x1 H.T and the core step's cross; a
+        # free W adds x x1 H.T x2 Q.T and x x0 W.T. The core step returns
+        # the cycle's objective, so the objective adds none.
+        assert len(every) == (7 if fix_w else 12) * 6
         # the initial objective's; each cycle's objective comes from the Grams
         assert len(reconstructions) == 1
 

@@ -23,17 +23,23 @@ class NnlsProblem(NamedTuple):
 
 
 def converge(solver, *problem, start, calls=1000):
-    """Chain ``solver(*problem, z)`` calls from `start` until the output
+    """Chain ``solver(*problem, z)`` calls from `start` until the iterate
     repeats bit for bit or `calls` calls have run; returns the last output.
     A solver is a pure function of its arguments, so this equals `calls`
-    chained calls exactly."""
-    z = solver(*problem, start)
+    chained calls exactly. A core step returns ``(core, value)`` and
+    chains on the core."""
+    out = solver(*problem, start)
     for _ in range(calls - 1):
-        following = solver(*problem, z)
-        if following.tobytes() == z.tobytes():
+        following = solver(*problem, iterate(out))
+        if iterate(following).tobytes() == iterate(out).tobytes():
             break
-        z = following
-    return z
+        out = following
+    return out
+
+
+def iterate(out):
+    """The iterate of a solver's output."""
+    return out[0] if isinstance(out, tuple) else out
 
 
 def problem_from_data(a: np.ndarray, y: np.ndarray) -> NnlsProblem:
@@ -103,11 +109,12 @@ def core_problem_from_data(x, w, h, q):
     return grams, cross
 
 
-def core_prox_gradient_loop(grams, cross: np.ndarray, g0: np.ndarray, steps=30) -> np.ndarray:
+def core_prox_gradient_loop(grams, cross: np.ndarray, g0: np.ndarray, steps=30):
     """Oracle: FISTA with gradient restart for the core, with three checked
     mode products per Gram image and fresh arrays each step, 30 steps
     unless `steps` says otherwise. It returns the start (clipped at zero)
-    when the start's objective is lower than the end point's."""
+    when the start's objective is lower than the end point's, as
+    ``(result, objective(result))``, the objective taken afresh."""
     if g0.shape != cross.shape:
         raise ValueError(f"core shape {g0.shape} does not match cross shape {cross.shape}")
 
@@ -138,7 +145,8 @@ def core_prox_gradient_loop(grams, cross: np.ndarray, g0: np.ndarray, steps=30) 
             y = g_next + (t - 1.0) / t_next * (g_next - g)
             t = t_next
         g = g_next
-    return g if objective(g) <= objective(start) else start
+    result = g if objective(g) <= objective(start) else start
+    return result, float(objective(result))
 
 
 def core_problem_at_optimum(rng, ranks):
@@ -154,6 +162,25 @@ def core_problem_at_optimum(rng, ranks):
     return grams, image - rng.random(ranks) * (g0 == 0.0), g0
 
 
+def data_at_optimum(rng, ranks):
+    """``(x, factors, g0)``: the set-up of `core_problem_at_optimum` from
+    data. Projected onto the factors, `x` is the Gram image of `g0` less a
+    positive margin where ``g0 == 0``, so `core_problem_from_data` gives a
+    core problem whose optimum is `g0` up to rounding."""
+    factors = [rng.random((r + int(rng.integers(0, 3)), r)) for r in ranks]
+    g0 = np.maximum(rng.random(ranks) - 0.3, 0.0)
+    margin = rng.random(ranks) * (g0 == 0.0)
+    x = reconstruct(g0, *factors) - reconstruct(margin, *(np.linalg.pinv(f).T for f in factors))
+    return x, factors, g0
+
+
+def assert_value_of_data(x, factors, g, value):
+    """`value` is ``||x - x^||^2 - ||x||^2`` of the core `g`, up to rounding."""
+    x_sq = float(np.vdot(x, x))
+    explicit = float(np.linalg.norm(x - reconstruct(g, *factors))) ** 2 - x_sq
+    assert abs(value - explicit) <= 1e-12 * x_sq
+
+
 def core_objective(grams, cross, g):
     """``||X - G x0 W x1 H x2 Q||_F^2 - ||X||_F^2`` from the Gram form, and
     the sum of its two terms' sizes, the scale of its rounding error."""
@@ -166,6 +193,15 @@ def assert_same_bits(fast, slow):
     assert fast.shape == slow.shape and fast.dtype == slow.dtype
     assert np.array_equal(fast, slow)
     assert fast.tobytes() == slow.tobytes()  # also the sign of every zero
+
+
+def assert_same_step(fast, slow):
+    """Two core steps' ``(core, value)``, equal bit for bit. Both take the
+    value with the same products as their steps, so it can be exact, and it
+    must be: near a tie the other point's value differs only in its last
+    bits."""
+    assert_same_bits(fast[0], slow[0])
+    assert fast[1] == slow[1]
 
 
 def random_problem(rng, r=None, rows=6, cols=3):
@@ -258,14 +294,14 @@ class TestCoreProxGradient:
         rng = np.random.default_rng(3)
         x = rng.random((3, 4, 5))
         eye = [np.eye(d) for d in x.shape]
-        g = converge(core_prox_gradient, *core_problem_from_data(x, *eye), start=x.copy())
+        g, _ = converge(core_prox_gradient, *core_problem_from_data(x, *eye), start=x.copy())
         np.testing.assert_allclose(g, x, atol=1e-12)
 
     def test_identity_projection_at_convergence(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 4, 5))
         eye = [np.eye(d) for d in x.shape]
-        g = converge(core_prox_gradient, *core_problem_from_data(x, *eye), start=np.zeros(x.shape))
+        g, _ = converge(core_prox_gradient, *core_problem_from_data(x, *eye), start=np.zeros(x.shape))
         np.testing.assert_allclose(g, np.maximum(x, 0.0), atol=1e-10)
 
     def test_recovers_known_optimum(self):
@@ -284,7 +320,7 @@ class TestCoreProxGradient:
         g_star = rng.random((2, 3, 2))
         x = reconstruct(g_star, w, h, q)
         g0 = rng.random(g_star.shape)
-        g = converge(core_prox_gradient, *core_problem_from_data(x, w, h, q), start=g0, calls=5)
+        g, _ = converge(core_prox_gradient, *core_problem_from_data(x, w, h, q), start=g0, calls=5)
         obj = np.sum((x - reconstruct(g, w, h, q)) ** 2)
         assert obj <= 1e-6 * np.sum(x * x)
 
@@ -293,7 +329,7 @@ class TestCoreProxGradient:
         w, h, q = rng.random((5, 2)), rng.random((6, 3)), rng.random((7, 2))
         x = rng.random((5, 6, 7))
         problem = core_problem_from_data(x, w, h, q)
-        g = core_prox_gradient_loop(*problem, np.zeros((2, 3, 2)), steps=1)
+        g, _ = core_prox_gradient_loop(*problem, np.zeros((2, 3, 2)), steps=1)
         lipschitz = 1.0
         for f in (w, h, q):
             lipschitz *= np.linalg.eigvalsh(f.T @ f)[-1]
@@ -308,7 +344,7 @@ class TestCoreProxGradient:
             x = rng.random((5, 6, 7))
             g0 = rng.random((2, 3, 2))
             problem = core_problem_from_data(x, w, h, q)
-            g = core_prox_gradient(*problem, g0)
+            g, _ = core_prox_gradient(*problem, g0)
             before = np.sum((x - reconstruct(g0, w, h, q)) ** 2)
             after = np.sum((x - reconstruct(g, w, h, q)) ** 2)
             assert after <= before + 1e-12
@@ -331,11 +367,46 @@ class TestCoreProxGradient:
             x = rng.random(tuple(len(f) for f in factors))
             grams, cross = core_problem_from_data(x, *factors)
             g0 = rng.random(ranks) - 0.3
-        g = core_prox_gradient(grams, cross, g0)
+        g, _ = core_prox_gradient(grams, cross, g0)
         assert np.all(g >= 0.0)
         before, before_size = core_objective(grams, cross, np.maximum(g0, 0.0))
         after, after_size = core_objective(grams, cross, g)
         assert after <= before + 1e-12 * max(before_size, after_size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 48), st.integers(1, 48)),
+        dead_fraction=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_matches_data(self, dims, dead_fraction, seed):
+        # also with dead slices, whose value the steps never see
+        rng = np.random.default_rng(seed)
+        ranks = tuple(int(rng.integers(1, d + 1)) for d in dims)
+        factors = [rng.random((d, r)) for d, r in zip(dims, ranks)]
+        for factor in factors:
+            dead = rng.random(factor.shape[1]) < dead_fraction
+            dead[rng.integers(len(dead))] = False  # a zero factor has no step
+            factor[:, dead] = 0.0
+        x = rng.random(dims) * (rng.random(dims) < 0.8)
+        # a start scaled to fit x best keeps x^ about the size of x
+        start = rng.random(ranks)
+        fit = reconstruct(start, *factors)
+        start *= np.vdot(x, fit) / np.vdot(fit, fit)
+        g, value = core_prox_gradient(*core_problem_from_data(x, *factors), start)
+        assert_value_of_data(x, factors, g, value)
+
+    def test_value_matches_data_from_either_point(self):
+        # near the optimum the end guard returns the start in about 2 of 5 calls
+        rng = np.random.default_rng(10)
+        starts = 0
+        for _ in range(40):
+            ranks = tuple(int(r) for r in rng.integers(1, (7, 13, 13)))
+            x, factors, g0 = data_at_optimum(rng, ranks)
+            g, value = core_prox_gradient(*core_problem_from_data(x, *factors), g0)
+            starts += g.tobytes() == g0.tobytes()
+            assert_value_of_data(x, factors, g, value)
+        assert 0 < starts < 40
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -361,6 +432,13 @@ class TestCoreProxGradient:
         g0[0, 1, 1] = np.nan
         with pytest.raises(ValueError, match="^g0 has non-finite entries"):
             core_prox_gradient(*core_problem_from_data(x, *factors), g0)
+
+    def test_nested_list_start(self):
+        # read as float64 like every array argument, as hals_nnls reads z0
+        rng = np.random.default_rng(11)
+        problem = core_problem_from_data(rng.random((4, 5, 6)), *(rng.random((d, 2)) for d in (4, 5, 6)))
+        g0 = rng.random((2, 2, 2))
+        assert_same_step(core_prox_gradient(*problem, g0.tolist()), core_prox_gradient(*problem, g0))
 
     def test_zero_factors_rejected(self):
         x = np.ones((2, 2, 2))
@@ -431,7 +509,7 @@ class TestFastLoopsMatchOracles:
         if fortran:
             x, g0 = np.asfortranarray(x), np.asfortranarray(g0)
         problem = core_problem_from_data(x, w, h, q)
-        assert_same_bits(
+        assert_same_step(
             converge(core_prox_gradient, *problem, start=g0, calls=calls),
             converge(core_prox_gradient_loop, *problem, start=g0, calls=calls),
         )
@@ -445,7 +523,7 @@ class TestFastLoopsMatchOracles:
         # near a tie the end guard decides: it returns the start in about
         # 2 of 5 of these calls
         grams, cross, g0 = core_problem_at_optimum(np.random.default_rng(seed), ranks)
-        assert_same_bits(
+        assert_same_step(
             core_prox_gradient(grams, cross, g0), core_prox_gradient_loop(grams, cross, g0)
         )
 
@@ -478,7 +556,7 @@ class TestFastLoopsMatchOracles:
         x = rng.random(dims) * (rng.random(dims) < 0.8)
         g0 = rng.random(ranks) - 0.3
         grams, cross = core_problem_from_data(x, *factors)
-        fast = converge(core_prox_gradient, grams, cross, start=g0, calls=calls)
+        fast, fast_value = converge(core_prox_gradient, grams, cross, start=g0, calls=calls)
         # The live slices take the oracle's steps on the live sub-problem, bit
         # for bit. On the whole problem the oracle's inner products also sum
         # the dead slices' zeros, in another order, and a restart or the end
@@ -487,7 +565,7 @@ class TestFastLoopsMatchOracles:
         index = np.ix_(*live)
         live_grams = tuple(gram[np.ix_(i, i)] for gram, i in zip(grams, live))
         slow = converge(core_prox_gradient_loop, live_grams, cross[index], start=g0[index], calls=calls)
-        assert_same_bits(fast[index], slow)
+        assert_same_step((fast[index], fast_value), slow)
         for mode, columns in enumerate(dead):
             index = (slice(None),) * mode + (columns,)
             assert_same_bits(fast[index], np.maximum(g0, 0.0)[index])
@@ -518,7 +596,13 @@ class TestFastLoopsMatchOracles:
             x = np.asfortranarray(x)
         ranks = NtdRanks(12 if fix_w else 5, 6, 9)
         cfg = NtdConfig(max_outer_iters=8, fix_w_to_identity=fix_w)
-        fast = decompose(x, ranks, cfg).to_json(cfg)
+        fast = decompose(x, ranks, cfg)
         monkeypatch.setattr(decomposition, "hals_nnls", hals_nnls_loop)
         monkeypatch.setattr(decomposition, "core_prox_gradient", core_prox_gradient_loop)
-        assert decompose(x, ranks, cfg).to_json(cfg) == fast
+        slow = decompose(x, ranks, cfg)
+        for name in ("w", "h", "q", "core"):
+            assert_same_bits(getattr(fast, name), getattr(slow, name))
+        # the explicit first entry; each core step supplies the value of the others
+        assert fast.objective_trace[0] == slow.objective_trace[0]
+        assert len(fast.objective_trace) == len(slow.objective_trace)
+        np.testing.assert_allclose(fast.objective_trace[1:], slow.objective_trace[1:], rtol=1e-12)
