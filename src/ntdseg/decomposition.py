@@ -9,7 +9,7 @@ from numbers import Integral
 import numpy as np
 
 from .nnls import core_prox_gradient, hals_nnls
-from .tensor_ops import check_real, mode_product, reconstruct, truncated_hosvd
+from .tensor_ops import mode_product, real_array, reconstruct, truncated_hosvd
 
 # Below this fraction of ||x||^2, `decompose` takes a cycle's objective
 # from the explicit residual instead of the Gram form. The Gram form adds
@@ -101,15 +101,11 @@ def parameter_count(
 
 def check_fit(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig) -> None:
     """Raise ValueError unless `decompose` can fit `x` at `ranks` under `cfg`."""
-    check_real(x, "input tensor")
+    x = real_array(x, "input tensor")
     if x.ndim != 3:
         raise ValueError(f"input tensor must be order 3, got shape {x.shape}")
     with np.errstate(over="ignore"):
-        # no copy of x in any layout; float64 sums, so integers cannot wrap
-        x_sq = float(np.einsum("ijk,ijk->", x, x, dtype=float))
-    non_finite = 0 if math.isfinite(x_sq) else int(np.count_nonzero(~np.isfinite(x)))
-    if non_finite:
-        raise ValueError(f"input tensor has {non_finite} non-finite entries (NaN or inf)")
+        x_sq = float(np.einsum("ijk,ijk->", x, x))  # no copy of x in any layout
     if x.size and x.min() < 0:
         raise ValueError("input tensor must be nonnegative")
     if not math.isfinite(x_sq):
@@ -172,7 +168,7 @@ def decompose(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig = NtdConfig()) -> N
     and the factor Grams cannot underflow on a tiny input.
     """
     check_fit(x, ranks, cfg)
-    exponent = int(np.frexp(x.max())[1])
+    exponent = int(np.frexp(np.max(x))[1])
     # float64 whatever the input's real dtype; C order: same bits for every layout
     x = np.ldexp(x, -exponent, order="C", dtype=np.float64)
     x_sq = float(np.vdot(x, x))

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .tensor_ops import check_real
+from .tensor_ops import real_array
 
 # Cap on the HALS sweeps of `hals_nnls`.
 MAX_INNER_ITERS = 100
@@ -52,21 +52,15 @@ def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray
     exactly zero and no update increases the objective. Never returns
     negative entries. To sweep further, call again from the result.
     """
-    for array, name in ((gram, "gram"), (cross, "cross"), (z0, "z0")):
-        check_real(array, name)
-    gram, cross = np.asarray(gram, dtype=float), np.asarray(cross, dtype=float)
+    gram, cross = real_array(gram, "gram"), real_array(cross, "cross")
     r = cross.shape[0]
     if gram.shape != (r, r):
         raise ValueError(
             f"gram shape {gram.shape} is not ({r}, {r}) for cross shape {cross.shape}"
         )
-    if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
-        raise ValueError("non-finite entries in NNLS problem")
-    z = np.array(z0, dtype=float)
+    z = np.array(real_array(z0, "z0"))
     if z.shape != cross.shape:
         raise ValueError(f"z0 shape {z.shape} does not match cross shape {cross.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite entries in z0")
 
     sweeps = min(MAX_INNER_ITERS, math.ceil((1 + r) / 2))
     # Per-row views, built once: Gram diagonal entry, Gram row, cross row and
@@ -109,19 +103,13 @@ def core_prox_gradient(
     ``<G, G x0 W.T W x1 H.T H x2 Q.T Q> - 2 <cross, G>``, which the end
     guard compared. To step further, call again from the core.
     """
-    for array, name in [(gram, "factor Grams") for gram in grams] + [(cross, "cross"), (g0, "g0")]:
-        check_real(array, name)
-    grams = tuple(np.asarray(gram, dtype=float) for gram in grams)
-    cross, g0 = np.asarray(cross, dtype=float), np.asarray(g0, dtype=float)
+    grams = tuple(real_array(gram, f"Gram of mode {mode}") for mode, gram in enumerate(grams))
+    cross, g0 = real_array(cross, "cross"), real_array(g0, "g0")
     expected = cross.shape
     if g0.shape != expected:
         raise ValueError(f"core shape {g0.shape} does not match cross shape {expected}")
     if tuple(g.shape for g in grams) != tuple((r, r) for r in expected):
         raise ValueError(f"factor Grams do not match cross shape {expected}")
-    if not (np.isfinite(cross).all() and all(np.isfinite(g).all() for g in grams)):
-        raise ValueError("non-finite entries in core problem")
-    if not np.isfinite(g0).all():
-        raise ValueError("g0 has non-finite entries")
 
     g = np.maximum(g0, 0.0, out=np.empty(expected))
     # A slice whose Gram row, Gram column and cross slice are all zero has

@@ -7,7 +7,7 @@ from numbers import Integral
 import numpy as np
 
 from .ingest import BarGrid
-from .tensor_ops import check_real
+from .tensor_ops import real_array
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,14 @@ def autosimilarity_from_features(features: np.ndarray) -> np.ndarray:
 
     Rows are l2-normalized (zero rows stay zero) before the outer
     product, giving a symmetric matrix with entries in [0, 1] for
-    nonnegative features and unit diagonal on nonzero rows.
+    nonnegative features and unit diagonal on nonzero rows. Each row is
+    first scaled by the power of two that puts its largest magnitude in
+    [1/2, 1), so the norm can neither underflow nor overflow, and scaling
+    a row by any power of two leaves the matrix unchanged, bit for bit.
     """
-    check_real(features, "features")
-    features = np.asarray(features, dtype=float)
+    features = real_array(features, "features")
+    _, exponents = np.frexp(np.abs(features).max(axis=1, keepdims=True, initial=0.0))
+    features = np.ldexp(features, -exponents)
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     normalized = features / safe
@@ -98,23 +102,28 @@ def segment(a: np.ndarray, cfg: SegmentationConfig = SegmentationConfig()) -> Se
     with segments no longer than `max_segment_bars`. Ties prefer fewer
     segments, then the lexicographically smallest boundary sequence.
     """
-    check_real(a, "autosimilarity")
-    a = np.asarray(a, dtype=float)
+    a = real_array(a, "autosimilarity")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"autosimilarity must be a square matrix, got shape {a.shape}")
     size = a.shape[0]
     if size < 1:
         raise ValueError("autosimilarity must cover at least one bar")
-    if not np.isfinite(a).all():
-        raise ValueError("autosimilarity has non-finite entries (NaN or inf)")
     longest = cfg.max_segment_bars
-    raw = _band_scores(a, cfg.kernel_band, min(size, max(8, longest)))
-    c_max8 = raw[:, min(8, size) - 1].max()
-    penalties = np.array([penalty(n) for n in range(1, raw.shape[1] + 1)])
-    scores = raw - cfg.penalty_weight * penalties * c_max8
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = _band_scores(a, cfg.kernel_band, min(size, max(8, longest)))
+        c_max8 = raw[:, min(8, size) - 1].max()
+        penalties = np.array([penalty(n) for n in range(1, raw.shape[1] + 1)])
+        scores = raw - cfg.penalty_weight * penalties * c_max8
+    # segments [s, s + n) that end inside the song; the others score -inf
+    inside = np.add.outer(np.arange(size), np.arange(1, raw.shape[1] + 1)) <= size
+    if not np.isfinite(scores[inside]).all():
+        raise ValueError(
+            f"segment scores overflow: penalty_weight {cfg.penalty_weight!r} "
+            "or the autosimilarity's entries are too large"
+        )
     # Totals are exact: each score is an integer count of the smallest power
     # of two among them, so partitions tie exactly when their scores do.
-    mantissa, exponent = np.frexp(np.where(np.isfinite(scores), scores, 0.0))
+    mantissa, exponent = np.frexp(np.where(inside, scores, 0.0))
     mantissa = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
     units = (mantissa << (exponent - exponent.min())).tolist()
     # totals[e], bounds[e]: best partition of bars [0, e)

@@ -4,14 +4,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_real(array, name: str) -> None:
-    """Raise ValueError unless `array` is bool, integer or float of at most
-    64 bits, the dtypes that numpy casts safely to float64."""
-    dtype = np.asarray(array).dtype
-    if not np.can_cast(dtype, np.float64):
+def real_array(array, name: str) -> np.ndarray:
+    """`array` read as float64. Raise ValueError unless it is bool, integer
+    or float of at most 64 bits, the dtypes that numpy casts safely to
+    float64, and unless every entry is finite."""
+    array = np.asarray(array)
+    if not np.can_cast(array.dtype, np.float64):
         raise ValueError(
-            f"{name} must be bool, integer or float of at most 64 bits, got dtype {dtype}"
+            f"{name} must be bool, integer or float of at most 64 bits, got dtype {array.dtype}"
         )
+    array = np.asarray(array, dtype=np.float64)
+    non_finite = array.size - np.count_nonzero(np.isfinite(array))
+    if non_finite:
+        raise ValueError(f"{name} has {non_finite} non-finite entries (NaN or inf)")
+    return array
 
 
 def _check_mode(mode: int) -> None:
@@ -60,8 +66,7 @@ def truncated_hosvd(
     an SVD; their rank must equal the tensor dimension. The tensor is read
     as float64.
     """
-    check_real(tensor, "tensor")
-    tensor = np.asarray(tensor, dtype=np.float64)
+    tensor = real_array(tensor, "tensor")
     if tensor.ndim != 3:
         raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
     for mode in range(3):

@@ -14,7 +14,13 @@ from ntdseg.evaluation import (
 )
 from ntdseg.ingest import synth_song
 from ntdseg.nnls import hals_nnls
-from ntdseg.segmentation import SegmentationConfig, penalty, segment
+from ntdseg.segmentation import (
+    SegmentationConfig,
+    autosimilarity_from_features,
+    boundaries_to_times,
+    penalty,
+    segment,
+)
 from ntdseg.tensor_ops import reconstruct
 
 from test_evaluation import exhaustive_matching
@@ -194,3 +200,44 @@ def test_criterion_10_experiment_harness_on_synthetic_corpus():
     fit = fit_lambda(corpus, [0.0, 1.0], NtdRanks(6, 3, 2), ntd_cfg, seg_cfg)
     assert fit.selected in (0.0, 1.0)
     report(10, "rank sweep, oracle selection and 2-fold lambda fit on synthetic corpus")
+
+
+def paper_song(seed, index, n_bars=89):
+    """Song `index` of `seed`: blocks of 4, 8 or 16 bars, each repeating one
+    of 4 random 12x96 patterns other than the previous block's, plus
+    uniform noise of 0.1, in bars of 2 s. The benchmark's `paper_song`
+    recipe, written out so that a benchmark change cannot move the gate."""
+    rng = np.random.default_rng([seed, index])
+    patterns = [rng.uniform(0.0, 1.0, (12, 96)) for _ in range(4)]
+    assignment, current = [], -1
+    while len(assignment) < n_bars:
+        current = int(rng.choice([p for p in range(4) if p != current]))
+        assignment += [current] * int(rng.choice((4, 8, 16)))
+    return synth_song(patterns, assignment[:n_bars], noise_level=0.1,
+                      seed=int(rng.integers(2**31)), bar_duration=2.0)
+
+
+def test_criterion_11_ntd_features_beat_raw_features():
+    # The paper's claim: NTD's Q segments better than the raw bar features
+    # (each bar's 12x96 slice as one row) through the same autosimilarity
+    # and DP. 16 songs and the margins were fixed before the test existed.
+    start = time.time()
+    f = {(name, tol): [] for name in ("ntd", "raw") for tol in (0.5, 3.0)}
+    for seed in (1, 2, 3, 1000):
+        for index in range(4):
+            x, bars, ref = paper_song(seed, index)
+            q = decompose(x, NtdRanks(12, 12, 10), NtdConfig(fix_w_to_identity=True)).q
+            for name, features in (("ntd", q), ("raw", x.reshape(-1, x.shape[2]).T)):
+                seg = boundaries_to_times(segment(autosimilarity_from_features(features)), bars)
+                for tol in (0.5, 3.0):
+                    f[name, tol].append(hit_rate(ref.boundaries(), list(seg.boundary_times), tol).f_measure)
+    elapsed = time.time() - start
+    mean = {key: float(np.mean(v)) for key, v in f.items()}
+    print(f"mean F@0.5: NTD {mean['ntd', 0.5]:.4f}, raw {mean['raw', 0.5]:.4f}; "
+          f"mean F@3: NTD {mean['ntd', 3.0]:.4f}, raw {mean['raw', 3.0]:.4f}")
+    for tol, margin in ((0.5, 0.10), (3.0, 0.05)):
+        assert mean["ntd", tol] >= mean["raw", tol] + margin
+        assert all(n >= r for n, r in zip(f["ntd", tol], f["raw", tol]))
+    assert elapsed < 60.0
+    report(11, f"NTD beats raw bar features on 16 songs by "
+               f"{mean['ntd', 0.5] - mean['raw', 0.5]:.3f} at F@0.5; {elapsed:.1f}s")

@@ -173,6 +173,21 @@ def test_nan_lambda_rejected(tmp_path, capsys):
     assert not (tmp_path / "est.txt").exists()
 
 
+def test_overflowing_lambda_rejected(tmp_path, capsys):
+    # lambda times the score scale overflows, which would make every
+    # penalised segment length score best
+    prefix = tmp_path / "song"
+    assert run(*synth_args(prefix)) == 0
+    code = run(
+        "segment", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
+        "--frames-per-bar", "8", "--t-rank", "4", "--b-rank", "2", "--max-outer-iters", "5",
+        "--lambda", "1e308", "--out", str(tmp_path / "est.txt"),
+    )
+    assert code == 1
+    assert "segment scores overflow: penalty_weight 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "est.txt").exists()
+
+
 def test_bad_config_reported_before_input_is_read(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code = run(

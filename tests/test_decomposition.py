@@ -198,6 +198,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match=r"^input tensor must be order 3, got shape \(4, 5\)$"):
             decompose(np.ones((4, 5)), NtdRanks(2, 2, 2))
 
+    def test_nested_list_input(self):
+        # read as float64 like every array argument; `initialize` already
+        # read it, but `decompose` raised AttributeError
+        x = np.random.default_rng(12).random((4, 5, 6))
+        ranks, cfg = NtdRanks(2, 2, 2), NtdConfig(max_outer_iters=3)
+        assert decompose(x.tolist(), ranks, cfg).to_json() == decompose(x, ranks, cfg).to_json()
+
     def test_nan_input_rejected(self):
         x = np.random.default_rng(9).random((4, 5, 6))
         x[1, 2, 3] = np.nan

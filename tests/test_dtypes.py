@@ -1,7 +1,8 @@
-"""The dtype rule of the library's array arguments: bool, integer and float
-arrays of at most 64 bits are read as float64, so they give the float64
-call's result bit for bit; any other dtype raises a ValueError that names
-it. `decompose` is checked in test_decomposition.py."""
+"""The one rule of the library's array arguments, `tensor_ops.real_array`:
+bool, integer and float arrays of at most 64 bits are read as float64, so
+they give the float64 call's result bit for bit; any other dtype raises a
+ValueError that names it, and so does a NaN or inf entry. `decompose` is
+checked in test_decomposition.py."""
 import warnings
 
 import numpy as np
@@ -73,3 +74,17 @@ def test_other_dtypes_rejected(call, dtype):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f" must be bool, integer or float of at most 64 bits, got dtype {name}$"):
             CALLS[call](lambda a: np.asarray(a).astype(dtype))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", CALLS)
+def test_non_finite_rejected(call, value):
+    def with_entry(a):
+        a = np.array(a, dtype=float)
+        a.flat[0] = value
+        return a
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r" has 1 non-finite entries \(NaN or inf\)$"):
+            CALLS[call](with_entry)

@@ -3,11 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntdseg import evaluation
-from ntdseg.decomposition import NtdConfig, NtdRanks
+from ntdseg.decomposition import NtdConfig, NtdRanks, check_fit
 from ntdseg.evaluation import (
     default_rank_grid,
     fit_lambda,
@@ -275,6 +275,28 @@ class TestRankSweep:
         first = lines[1].split("\t")
         entry = result[(int(first[0]), int(first[1]))]
         assert float(first[2]) == entry.objective
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=-600)  # Q's autosimilarity underflowed to all zero here
+@example(k=506)   # the largest scale that check_fit accepts
+@example(k=507)   # the smallest that it rejects: ||x||^2 overflows
+def test_segment_song_power_of_two_scale(k):
+    # entries in [1/4, 1), so 2**k x is exact for k in [-1000, 1000]
+    rng = np.random.default_rng(41)
+    patterns = [rng.uniform(0.25, 0.9, (12, 8)) for _ in range(3)]
+    x, bars, _ = synth_song(patterns, [0] * 8 + [1] * 8 + [2] * 4 + [0] * 4, noise_level=0.1, seed=41)
+    ranks, cfg = NtdRanks(12, 4, 3), NtdConfig(fix_w_to_identity=True, max_outer_iters=10)
+    scaled = np.ldexp(x, k)
+    try:
+        check_fit(scaled, ranks, cfg)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            segment_song(scaled, bars, ranks, cfg, FAST_SEG)
+        return
+    seg, _, _ = segment_song(x, bars, ranks, cfg, FAST_SEG)
+    assert segment_song(scaled, bars, ranks, cfg, FAST_SEG)[0] == seg
 
 
 class TestOracleSelect:

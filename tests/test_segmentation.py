@@ -1,4 +1,5 @@
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,32 @@ class TestAutosimilarity:
         feats = np.array([[0.0, 0.0], [1.0, 0.0]])
         a = autosimilarity_from_features(feats)
         assert a[0, 0] == 0.0 and a[0, 1] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        exponents=st.lists(st.integers(-1000, 1000), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(exponents=[-600] * 8, seed=2)  # all zero on the unscaled norm
+    @example(exponents=[1000] * 8, seed=2)  # inf on the unscaled norm
+    def test_power_of_two_row_scale(self, exponents, seed):
+        # entries of magnitude in [1/4, 1) or zero, so 2**k x is exact for
+        # k in [-1000, 1000]
+        rng = np.random.default_rng(seed)
+        feats = rng.uniform(0.25, 1.0, (8, 5)) * rng.choice([-1.0, 0.0, 1.0], (8, 5))
+        scaled = np.ldexp(feats, np.array(exponents)[:, None])
+        assert autosimilarity_from_features(scaled).tobytes() == autosimilarity_from_features(feats).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**-600, 2.0**-1060])
+    def test_extreme_magnitudes_keep_unit_diagonal(self, scale):
+        feats = np.random.default_rng(2).random((20, 5)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = autosimilarity_from_features(feats)
+        np.testing.assert_allclose(np.diag(a), 1.0, rtol=1e-12)
+
+    def test_empty_rows(self):
+        assert autosimilarity_from_features(np.zeros((3, 0))).tobytes() == np.zeros((3, 3)).tobytes()
 
 
 class TestBandScores:
@@ -354,8 +381,26 @@ class TestSegment:
             segment(np.ones((5, 7)))
 
     def test_non_finite_autosimilarity_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^autosimilarity has 36 non-finite entries \(NaN or inf\)$"):
             segment(np.full((6, 6), np.nan))
+
+    def test_overflowing_penalty_rejected(self):
+        # lambda * c_max8 overflows at 1e308: the penalised lengths scored
+        # -inf, were read as 0 and so scored best
+        a = autosimilarity_from_features(np.random.default_rng(1).random((44, 6)))
+        assert segment(a, SegmentationConfig(penalty_weight=1e307)).bar_boundaries == (
+            0, 4, 12, 20, 28, 36, 44)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^segment scores overflow: penalty_weight 1e\+308 "):
+                segment(a, SegmentationConfig(penalty_weight=1e308))
+
+    def test_overflowing_scores_rejected(self):
+        # every entry is finite, but the kernel sums are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^segment scores overflow: "):
+                segment(np.full((10, 10), 1e308))
 
 
 class TestBoundaryTimes:
