@@ -219,11 +219,14 @@ def synth_song(
     shapes = {p.shape for p in patterns}
     if len(shapes) != 1:
         raise ValueError("all patterns must share one shape")
+    (shape,) = shapes
+    if len(shape) != 2:
+        raise ValueError(f"patterns must be 2-D, got shape {shape}")
     for idx in bar_assignment:
         if not 0 <= idx < len(patterns):
             raise ValueError(f"pattern index {idx} out of range")
 
-    n_pc, frames = patterns[0].shape
+    n_pc, frames = shape
     if n_pc == 0 or frames == 0:
         raise ValueError(
             f"patterns need at least one pitch class and one frame, got shape {(n_pc, frames)}"

@@ -8,11 +8,14 @@ which reads the three factor Grams and the data projected onto the
 factors. Both take plain arrays, read them as float64 and check their
 dtypes, shapes and finiteness first. Fixed iteration caps are the only
 stopping rule: HALS runs ``min(MAX_INNER_ITERS, ceil((1 + r) / 2))``
-sweeps for rank ``r``. The core runs ``CORE_STEPS`` (30) FISTA steps and
-returns its end point or its start, whichever has the lower objective,
-because FISTA alone is not monotone. So neither solver raises its
-objective, and the core step returns it as ``value``:
-``||X - G x0 W x1 H x2 Q||_F^2 - ||X||_F^2`` of the core.
+sweeps for rank ``r``, each row set to its block's minimiser in
+normalized form: Gram and cross rows divided by the Gram diagonal once
+per call, so a row update is one product, one subtraction and one clip.
+The core runs ``CORE_STEPS`` (30) FISTA steps and returns its end point
+or its start, whichever has the lower objective, because FISTA alone is
+not monotone. So neither solver raises its objective, and the core step
+returns it as ``value``: ``||X - G x0 W x1 H x2 Q||_F^2 - ||X||_F^2`` of
+the core.
 Neither keeps state apart from its iterate, so to iterate further, call
 again from the result. k chained HALS calls are exactly k times the cap;
 the core's momentum starts afresh at each call, so chained core calls are
@@ -48,11 +51,16 @@ def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray
     Runs ``min(MAX_INNER_ITERS, ceil((1 + r) / 2))`` sweeps of exact
     coordinate-block updates over the r rows of Z (one row per column of
     A), a budget proportional to the sweep cost. Each row moves to the
-    exact minimiser of its block, so a row that updates to all zeros is
-    exactly zero and no update increases the objective. Never returns
-    negative entries. To sweep further, call again from the result.
+    exact minimiser of its block, in the normalized form of Cichocki & Phan
+    (2009): with ``d = gram[k, k] > 0``, row k becomes ``max(0, cross[k] / d
+    - sum_{j != k} gram[k, j] / d * Z[j])``; a row with ``d <= 0`` keeps its
+    start. So a row that updates to all zeros is exactly zero and no update
+    increases the objective. Never returns negative entries. To sweep
+    further, call again from the result.
     """
     gram, cross = real_array(gram, "gram"), real_array(cross, "cross")
+    if cross.ndim != 2:
+        raise ValueError(f"cross must be 2-D, got shape {cross.shape}")
     r = cross.shape[0]
     if gram.shape != (r, r):
         raise ValueError(
@@ -63,22 +71,20 @@ def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray
         raise ValueError(f"z0 shape {z.shape} does not match cross shape {cross.shape}")
 
     sweeps = min(MAX_INNER_ITERS, math.ceil((1 + r) / 2))
-    # Per-row views, built once: Gram diagonal entry, Gram row, cross row and
-    # the row of z that the update overwrites. A row with no positive
-    # diagonal entry is never updated.
-    rows = [
-        row
-        for row in zip(gram.diagonal().tolist(), gram, cross, z)
-        if row[0] > 0.0
-    ]
+    # Each live row (positive Gram diagonal entry d) in normalized form: Gram
+    # and cross rows over d and its own Gram entry zero, so the block's
+    # minimiser is z_row = max(0, cross_row - gram_row @ z). A row with no
+    # positive diagonal entry is never updated.
+    live = np.flatnonzero(gram.diagonal() > 0.0)
+    diagonal = gram.diagonal()[live, np.newaxis]
+    gram_rows = gram[live] / diagonal
+    gram_rows[np.arange(live.size), live] = 0.0
+    rows = list(zip(gram_rows, cross[live] / diagonal, [z[k] for k in live]))
     new = np.empty(z.shape[1])
     for _ in range(sweeps):
-        for denom, gram_row, cross_row, z_row in rows:
-            # z_row = max(0, z_row + (cross_row - gram_row @ z) / denom)
+        for gram_row, cross_row, z_row in rows:
             np.matmul(gram_row, z, out=new)
             np.subtract(cross_row, new, out=new)
-            np.divide(new, denom, out=new)
-            np.add(z_row, new, out=new)
             np.maximum(0.0, new, out=z_row)
     return z
 

@@ -1,6 +1,8 @@
 """Dense order-3 tensor arithmetic: mode products, reconstruction, HOSVD."""
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 
@@ -69,7 +71,14 @@ def truncated_hosvd(
     tensor = real_array(tensor, "tensor")
     if tensor.ndim != 3:
         raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
+    for mode in skip_modes:
+        if mode not in (0, 1, 2):
+            raise ValueError(f"skipped mode must be 0, 1 or 2, got {mode!r}")
     for mode in range(3):
+        if not (isinstance(ranks[mode], Integral) and ranks[mode] >= 1):
+            raise ValueError(
+                f"rank of mode {mode} must be an integer of at least 1, got {ranks[mode]!r}"
+            )
         if ranks[mode] > tensor.shape[mode]:
             raise ValueError(
                 f"rank {ranks[mode]} exceeds dimension {tensor.shape[mode]} "

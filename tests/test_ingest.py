@@ -318,6 +318,10 @@ class TestSynthSong:
         with pytest.raises(ValueError):
             synth_song([np.ones((2, 2))], [])
 
+    def test_one_dimensional_patterns_rejected(self):
+        with pytest.raises(ValueError, match=r"^patterns must be 2-D, got shape \(4,\)$"):
+            synth_song([np.ones(4)], [0, 0])
+
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             synth_song([np.ones((2, 2))], [0, 1])

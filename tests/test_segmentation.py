@@ -158,6 +158,10 @@ class TestAutosimilarity:
             a = autosimilarity_from_features(feats)
         np.testing.assert_allclose(np.diag(a), 1.0, rtol=1e-12)
 
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match=r"^features must be 2-D, got shape \(4,\)$"):
+            autosimilarity_from_features(np.ones(4))
+
     def test_empty_rows(self):
         assert autosimilarity_from_features(np.zeros((3, 0))).tobytes() == np.zeros((3, 3)).tobytes()
 

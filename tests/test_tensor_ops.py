@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,24 @@ class TestTruncatedHosvd:
     def test_rank_exceeds_dimension(self):
         with pytest.raises(ValueError):
             ops.truncated_hosvd(np.zeros((2, 3, 4)), (3, 3, 4))
+
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [
+            ((-1, 2, 2), "rank of mode 0 must be an integer of at least 1, got -1"),
+            ((2, 0, 2), "rank of mode 1 must be an integer of at least 1, got 0"),
+            ((2, 2, 1.0), "rank of mode 2 must be an integer of at least 1, got 1.0"),
+        ],
+        ids=["negative", "zero", "float"],
+    )
+    def test_bad_rank_rejected(self, ranks, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ops.truncated_hosvd(np.ones((2, 3, 4)), ranks)
+
+    @pytest.mark.parametrize("skip", [(5,), (0, -1)])
+    def test_bad_skipped_mode_rejected(self, skip):
+        with pytest.raises(ValueError, match=f"^skipped mode must be 0, 1 or 2, got {skip[-1]}$"):
+            ops.truncated_hosvd(np.ones((2, 3, 4)), (2, 3, 4), skip_modes=skip)
 
     def test_order_two_tensor_rejected(self):
         with pytest.raises(ValueError, match=r"^tensor must be order 3, got shape \(4, 5\)$"):
