@@ -61,16 +61,22 @@ def truncated_hosvd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Truncated higher-order SVD of an order-3 tensor.
 
-    Returns ``(w, h, q, core)`` where each factor holds the leading left
-    singular vectors of the tensor's mode-n fibers and
+    Returns ``(w, h, q, core)`` where each factor holds, largest first, the
+    top eigenvectors of the mode-n Gram ``F F.T`` of the tensor's mode-n
+    fibers F, which are F's leading left singular vectors up to sign, and
     ``core = tensor x0 w.T x1 h.T x2 q.T``; factors and core keep their
-    signs. Modes listed in `skip_modes` get an identity factor instead of
-    an SVD; their rank must equal the tensor dimension. The tensor is read
-    as float64.
+    signs. The Grams are formed from ``tensor / 2**e``, with ``2**e`` the
+    power of two just above the largest magnitude. A power-of-two scale is
+    exact, so the Grams neither overflow nor underflow, and the factors of
+    ``2**k * tensor`` are the factors of `tensor`, bit for bit. Modes listed
+    in `skip_modes` get an identity factor instead; their rank must equal
+    the tensor dimension. The tensor is read as float64.
     """
     tensor = real_array(tensor, "tensor")
     if tensor.ndim != 3:
         raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
+    if len(ranks) != 3:
+        raise ValueError(f"ranks must hold 3 entries, got {len(ranks)}")
     for mode in skip_modes:
         if mode not in (0, 1, 2):
             raise ValueError(f"skipped mode must be 0, 1 or 2, got {mode!r}")
@@ -84,6 +90,7 @@ def truncated_hosvd(
                 f"rank {ranks[mode]} exceeds dimension {tensor.shape[mode]} "
                 f"of mode {mode}"
             )
+    scaled = np.ldexp(tensor, -np.frexp(np.max(np.abs(tensor)))[1])
     factors = []
     for mode in range(3):
         if mode in skip_modes:
@@ -93,10 +100,10 @@ def truncated_hosvd(
                 )
             factors.append(np.eye(tensor.shape[mode]))
             continue
-        # Left singular vectors do not depend on column order, up to sign.
-        fibers = np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
-        u, _, _ = np.linalg.svd(fibers, full_matrices=False)
-        factors.append(u[:, : ranks[mode]])
+        # The Gram does not depend on column order.
+        fibers = np.moveaxis(scaled, mode, 0).reshape(tensor.shape[mode], -1)
+        _, vectors = np.linalg.eigh(fibers @ fibers.T)
+        factors.append(vectors[:, ::-1][:, : ranks[mode]].copy())
     core = tensor
     for mode, factor in enumerate(factors):
         core = mode_product(core, factor.T, mode)

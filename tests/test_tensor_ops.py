@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntdseg import tensor_ops as ops
 from ntdseg.decomposition import NtdModel, NtdRanks
+from ntdseg.ingest import synth_song
 
 
 def unfold(tensor, mode):
@@ -42,6 +43,21 @@ def brute_force_reconstruct(core, w, h, q):
                             acc += core[fp, tp, bp] * w[f, fp] * h[t, tp] * q[b, bp]
                 out[f, t, b] = acc
     return out
+
+
+def hosvd_svd_oracle(tensor, ranks, skip_modes=()):
+    """Truncated HOSVD by definition: each factor holds the leading left
+    singular vectors of the mode-n unfolding from a full SVD, and the core
+    is the tensor contracted with every factor."""
+    factors = []
+    for mode in range(3):
+        if mode in skip_modes:
+            factors.append(np.eye(tensor.shape[mode]))
+            continue
+        u, _, _ = np.linalg.svd(unfold(tensor, mode), full_matrices=False)
+        factors.append(u[:, : ranks[mode]])
+    core = np.einsum("ijk,ia,jb,kc->abc", tensor, *factors, optimize=True)
+    return (*factors, core)
 
 
 class TestUnfold:
@@ -297,3 +313,68 @@ class TestTruncatedHosvd:
         # core[a, b, c] = sum over i, j, k of t[i, j, k] w[i, a] h[j, b] q[k, c]
         expected = np.einsum("ijk,ia,jb,kc->abc", t, w, h, q)
         np.testing.assert_allclose(core, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 1, 1, 1)])
+    def test_ranks_of_wrong_length_rejected(self, ranks):
+        message = f"ranks must hold 3 entries, got {len(ranks)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ops.truncated_hosvd(np.ones((2, 3, 4)), ranks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(2, 9)] * 3),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 10_000),
+    )
+    def test_projectors_match_svd_oracle(self, dims, rank, seed):
+        # A rank-(r, r, r) tensor with every singular value of every
+        # unfolding in [1, 2], plus noise of 1e-3: a clear gap at rank r.
+        # Signs are arbitrary, so compare the projectors U U.T.
+        rank = min(rank, *dims)
+        rng = np.random.default_rng(seed)
+        core = np.zeros((rank,) * 3)
+        core[np.diag_indices(rank, 3)] = rng.uniform(1.0, 2.0, rank)
+        bases = [np.linalg.qr(rng.standard_normal((d, rank)))[0] for d in dims]
+        t = np.einsum("abc,ia,jb,kc->ijk", core, *bases)
+        t += 1e-3 * rng.standard_normal(dims)
+        fast = ops.truncated_hosvd(t, (rank,) * 3)[:3]
+        slow = hosvd_svd_oracle(t, (rank,) * 3)[:3]
+        for u, v in zip(fast, slow):
+            np.testing.assert_allclose(u @ u.T, v @ v.T, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("ranks", [(12, 12, 10), (12, 48, 48)])
+    def test_factors_match_svd_oracle_on_a_song(self, ranks):
+        # An 89-bar song of 4 repeated 12x96 patterns plus noise, as the
+        # benchmark builds them; np.abs, as `initialize` takes it.
+        rng = np.random.default_rng(2024)
+        patterns = [rng.uniform(0.0, 1.0, (12, 96)) for _ in range(4)]
+        assignment = [int(p) for p in rng.integers(0, 4, 23) for _ in range(4)][:89]
+        t = synth_song(patterns, assignment, noise_level=0.1, seed=5)[0]
+        fast = ops.truncated_hosvd(t, ranks)
+        slow = hosvd_svd_oracle(t, ranks)
+        for u, v in zip(fast[:3], slow[:3]):
+            np.testing.assert_allclose(np.abs(u), np.abs(v), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            np.abs(fast[3]), np.abs(slow[3]), rtol=0, atol=1e-9 * np.abs(slow[3]).max()
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    @example(k=300)
+    @example(k=-300)
+    @example(k=600)
+    @example(k=-600)
+    @example(k=1000)
+    @example(k=-1000)
+    def test_power_of_two_scale(self, k):
+        # Gram entries of 2**600 * t overflow and those of 2**-600 * t
+        # underflow unless the Grams are formed from a scaled tensor.
+        t = np.random.default_rng(12).random((6, 7, 8)) - 0.25
+        *factors, core = ops.truncated_hosvd(t, (3, 4, 5))
+        *scaled_factors, scaled_core = ops.truncated_hosvd(np.ldexp(t, k), (3, 4, 5))
+        tiny = np.finfo(np.float64).tiny
+        for array in (np.ldexp(t, k), np.ldexp(core, k)):
+            assert np.all(np.abs(array) >= tiny)  # no subnormal entry
+        for u, v in zip(scaled_factors, factors):
+            assert np.array_equal(u, v)
+        assert np.array_equal(scaled_core, np.ldexp(core, k))
