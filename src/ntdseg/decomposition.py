@@ -101,9 +101,7 @@ def parameter_count(
 
 def check_fit(x: np.ndarray, ranks: NtdRanks, cfg: NtdConfig) -> None:
     """Raise ValueError unless `decompose` can fit `x` at `ranks` under `cfg`."""
-    x = real_array(x, "input tensor")
-    if x.ndim != 3:
-        raise ValueError(f"input tensor must be order 3, got shape {x.shape}")
+    x = real_array(x, "input tensor", 3)
     with np.errstate(over="ignore"):
         x_sq = float(np.einsum("ijk,ijk->", x, x))  # no copy of x in any layout
     if x.size and x.min() < 0:

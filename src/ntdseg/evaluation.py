@@ -168,6 +168,12 @@ def oracle_select(
     t_rank, then smaller b_rank."""
     if not sweep:
         raise ValueError("empty sweep result")
+    for key, entry in sweep.items():
+        if tolerance not in entry.scores:
+            raise ValueError(
+                f"tolerance {tolerance} is not scored at grid point {key}, "
+                f"which scores {sorted(entry.scores)}"
+            )
     best = min(sweep, key=lambda key: (-sweep[key].scores[tolerance].f_measure, key))
     return best[0], best[1], sweep[best].scores[tolerance]
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_ops import real_array
+
 
 class IngestError(ValueError):
     """Raised on unparsable or invariant-violating input files."""
@@ -20,15 +22,13 @@ class Chromagram:
     values: np.ndarray  # n_pitch_classes x n_frames, nonnegative
 
     def __post_init__(self):
-        if self.values.ndim != 2:
-            raise IngestError("chroma values must be a 2-D matrix")
+        object.__setattr__(self, "frame_times", real_array(self.frame_times, "frame times", 1))
+        object.__setattr__(self, "values", real_array(self.values, "chroma values", 2))
         if self.frame_times.shape[0] != self.values.shape[1]:
             raise IngestError(
                 f"{self.frame_times.shape[0]} frame times for "
                 f"{self.values.shape[1]} chroma frames"
             )
-        if not np.isfinite(self.values).all() or not np.isfinite(self.frame_times).all():
-            raise IngestError("non-finite values in chromagram")
         diffs = np.diff(self.frame_times)
         if np.any(diffs <= 0):
             idx = int(np.argmax(diffs <= 0))
@@ -53,10 +53,9 @@ class BarGrid:
     downbeats: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "downbeats", real_array(self.downbeats, "downbeats", 1))
         if self.downbeats.shape[0] < 2:
             raise IngestError("bar grid needs at least 2 downbeats")
-        if not np.isfinite(self.downbeats).all():
-            raise IngestError("non-finite downbeat time")
         diffs = np.diff(self.downbeats)
         if np.any(diffs <= 0):
             idx = int(np.argmax(diffs <= 0))
@@ -74,9 +73,11 @@ class ReferenceSegmentation:
     segments: tuple[tuple[float, float, str], ...]
 
     def __post_init__(self):
+        if not self.segments:
+            raise IngestError("no segments found")
         for k, (start, end, _) in enumerate(self.segments):
             if not (np.isfinite(start) and np.isfinite(end)):
-                raise IngestError(f"non-finite segment bound at line {k + 1}")
+                raise IngestError(f"segment {k} has a non-finite bound")
             if start >= end:
                 raise IngestError(f"segment {k} has start {start} >= end {end}")
             if k > 0 and self.segments[k - 1][1] != start:
@@ -90,23 +91,29 @@ class ReferenceSegmentation:
         return [s for s, _, _ in self.segments] + [self.segments[-1][1]]
 
 
-def load_chromagram(path) -> Chromagram:
+def _load_json(path, kind: str, build):
+    """`build` applied to the JSON document at `path`. Any decoding error
+    and any KeyError, TypeError or ValueError of `build` becomes an
+    IngestError whose message starts with the path."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return build(json.load(fh))
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        times = np.array(doc["frame_times"], dtype=float)
-        chroma = np.array(doc["chroma"], dtype=float)
-        pitch_classes = int(doc["pitch_classes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"{path}: malformed chromagram document: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{path}: malformed {kind} document: {exc}") from exc
+
+
+def _chromagram(doc) -> Chromagram:
+    chroma = np.array(doc["chroma"], dtype=float)
+    pitch_classes = int(doc["pitch_classes"])
     if chroma.ndim != 2 or chroma.shape[1] != pitch_classes:
-        raise IngestError(
-            f"{path}: chroma frames must each have {pitch_classes} entries"
-        )
-    return Chromagram(frame_times=times, values=chroma.T)
+        raise IngestError(f"chroma frames must each have {pitch_classes} entries")
+    return Chromagram(frame_times=np.array(doc["frame_times"], dtype=float), values=chroma.T)
+
+
+def load_chromagram(path) -> Chromagram:
+    return _load_json(path, "chromagram", _chromagram)
 
 
 def save_chromagram(path, chroma: Chromagram) -> None:
@@ -120,16 +127,7 @@ def save_chromagram(path, chroma: Chromagram) -> None:
 
 
 def load_bars(path) -> BarGrid:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        downbeats = np.array(doc["downbeats"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"{path}: malformed bar document: {exc}") from exc
-    return BarGrid(downbeats=downbeats)
+    return _load_json(path, "bar", lambda doc: BarGrid(np.array(doc["downbeats"], dtype=float)))
 
 
 def save_bars(path, bars: BarGrid) -> None:
@@ -152,9 +150,10 @@ def load_annotation(path) -> ReferenceSegmentation:
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: unparsable time: {exc}") from exc
             segments.append((start, end, parts[2]))
-    if not segments:
-        raise IngestError(f"{path}: no segments found")
-    return ReferenceSegmentation(segments=tuple(segments))
+    try:
+        return ReferenceSegmentation(segments=tuple(segments))
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
 
 
 def save_annotation(path, segmentation: ReferenceSegmentation) -> None:
@@ -216,12 +215,11 @@ def synth_song(
         raise ValueError("bar_assignment must be nonempty")
     if not (math.isfinite(noise_level) and noise_level >= 0):
         raise ValueError("noise_level must be a nonnegative finite number")
+    patterns = [real_array(p, f"pattern {k}", 2) for k, p in enumerate(patterns)]
     shapes = {p.shape for p in patterns}
     if len(shapes) != 1:
         raise ValueError("all patterns must share one shape")
     (shape,) = shapes
-    if len(shape) != 2:
-        raise ValueError(f"patterns must be 2-D, got shape {shape}")
     for idx in bar_assignment:
         if not 0 <= idx < len(patterns):
             raise ValueError(f"pattern index {idx} out of range")

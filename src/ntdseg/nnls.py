@@ -53,20 +53,19 @@ def hals_nnls(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray
     A), a budget proportional to the sweep cost. Each row moves to the
     exact minimiser of its block, in the normalized form of Cichocki & Phan
     (2009): with ``d = gram[k, k] > 0``, row k becomes ``max(0, cross[k] / d
-    - sum_{j != k} gram[k, j] / d * Z[j])``; a row with ``d <= 0`` keeps its
-    start. So a row that updates to all zeros is exactly zero and no update
-    increases the objective. Never returns negative entries. To sweep
-    further, call again from the result.
+    - sum_{j != k} gram[k, j] / d * Z[j])``. The sweeps start from `z0`
+    clipped at zero, and a row with ``d <= 0`` keeps that start. So a row
+    that updates to all zeros is exactly zero and no update increases the
+    objective. Never returns negative entries. To sweep further, call again
+    from the result.
     """
-    gram, cross = real_array(gram, "gram"), real_array(cross, "cross")
-    if cross.ndim != 2:
-        raise ValueError(f"cross must be 2-D, got shape {cross.shape}")
+    gram, cross = real_array(gram, "gram"), real_array(cross, "cross", 2)
     r = cross.shape[0]
     if gram.shape != (r, r):
         raise ValueError(
             f"gram shape {gram.shape} is not ({r}, {r}) for cross shape {cross.shape}"
         )
-    z = np.array(real_array(z0, "z0"))
+    z = np.maximum(real_array(z0, "z0"), 0.0)
     if z.shape != cross.shape:
         raise ValueError(f"z0 shape {z.shape} does not match cross shape {cross.shape}")
 

@@ -43,9 +43,7 @@ def autosimilarity_from_features(features: np.ndarray) -> np.ndarray:
     [1/2, 1), so the norm can neither underflow nor overflow, and scaling
     a row by any power of two leaves the matrix unchanged, bit for bit.
     """
-    features = real_array(features, "features")
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    features = real_array(features, "features", 2)
     _, exponents = np.frexp(np.abs(features).max(axis=1, keepdims=True, initial=0.0))
     features = np.ldexp(features, -exponents)
     norms = np.linalg.norm(features, axis=1, keepdims=True)

@@ -6,10 +6,11 @@ from numbers import Integral
 import numpy as np
 
 
-def real_array(array, name: str) -> np.ndarray:
+def real_array(array, name: str, order: int | None = None) -> np.ndarray:
     """`array` read as float64. Raise ValueError unless it is bool, integer
     or float of at most 64 bits, the dtypes that numpy casts safely to
-    float64, and unless every entry is finite."""
+    float64, unless every entry is finite and, if `order` is given, unless
+    it has `order` axes."""
     array = np.asarray(array)
     if not np.can_cast(array.dtype, np.float64):
         raise ValueError(
@@ -19,6 +20,8 @@ def real_array(array, name: str) -> np.ndarray:
     non_finite = array.size - np.count_nonzero(np.isfinite(array))
     if non_finite:
         raise ValueError(f"{name} has {non_finite} non-finite entries (NaN or inf)")
+    if order is not None and array.ndim != order:
+        raise ValueError(f"{name} must be order {order}, got shape {array.shape}")
     return array
 
 
@@ -72,9 +75,7 @@ def truncated_hosvd(
     in `skip_modes` get an identity factor instead; their rank must equal
     the tensor dimension. The tensor is read as float64.
     """
-    tensor = real_array(tensor, "tensor")
-    if tensor.ndim != 3:
-        raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
+    tensor = real_array(tensor, "tensor", 3)
     if len(ranks) != 3:
         raise ValueError(f"ranks must hold 3 entries, got {len(ranks)}")
     for mode in skip_modes:

@@ -317,6 +317,13 @@ class TestOracleSelect:
         ties = [k for k, e in result.items() if e.scores[0.5].f_measure == best_f]
         assert (t, b) == min(ties)
 
+    def test_unscored_tolerance_named(self):
+        x, bars, ref = make_tiny_song()
+        result = rank_sweep(x, bars, ref, [(3, 2)], FAST_NTD, FAST_SEG, tolerances=(0.5, 3.0))
+        message = "tolerance 1.0 is not scored at grid point (3, 2), which scores [0.5, 3.0]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle_select(result, 1.0)
+
     def test_oracle_dominates_every_fixed_rank(self):
         x, bars, ref = make_tiny_song(seed=6)
         result = rank_sweep(x, bars, ref, [(2, 2), (3, 2), (3, 3)], FAST_NTD, FAST_SEG)

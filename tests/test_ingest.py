@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -144,6 +145,119 @@ class TestLoaders:
         path.write_text("0.0 only-two\n")
         with pytest.raises(IngestError, match=":1:"):
             load_annotation(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n  \n", "no segments found"),
+            ("0.0 1.0 a\n\n1.0 nan b\n", "segment 1 has a non-finite bound"),
+            ("2.0 1.0 a\n", "segment 0 has start 2.0 >= end 1.0"),
+            ("0.0 x a\n", ":1: unparsable time: could not convert string to float: 'x'"),
+        ],
+        ids=["blank", "nan-bound", "start-after-end", "unparsable-time"],
+    )
+    def test_annotation_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        with pytest.raises(IngestError) as info:
+            load_annotation(path)
+        assert str(info.value).startswith(str(path))
+        assert str(info.value).endswith(message)
+
+    def test_empty_reference_rejected(self):
+        with pytest.raises(IngestError, match="^no segments found$"):
+            ReferenceSegmentation(segments=())
+
+
+CHROMA_DOC = {"pitch_classes": 2, "frame_times": [0.0, 1.0], "chroma": [[0.1, 0.2], [0.3, 0.4]]}
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_chromagram, "{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        (load_chromagram, "[]", "malformed chromagram document: list indices must be integers"),
+        (load_chromagram, {**CHROMA_DOC, "chroma": None}, "chroma frames must each have 2 entries"),
+        (load_chromagram, {"frame_times": [0.0]}, "malformed chromagram document: 'chroma'"),
+        (load_chromagram, {**CHROMA_DOC, "pitch_classes": 3}, "chroma frames must each have 3 entries"),
+        (load_chromagram, {**CHROMA_DOC, "chroma": [0.1, 0.2]}, "chroma frames must each have 2 entries"),
+        (load_chromagram, {**CHROMA_DOC, "frame_times": [0.0]}, "1 frame times for 2 chroma frames"),
+        (load_chromagram, {**CHROMA_DOC, "frame_times": 0.0}, "frame times must be order 1, got shape ()"),
+        (load_chromagram, {**CHROMA_DOC, "frame_times": [1.0, 0.5]}, "not strictly increasing at index 1"),
+        (load_chromagram, {**CHROMA_DOC, "chroma": [[0.1, "x"], [0.3, 0.4]]}, "could not convert"),
+        (load_chromagram, {**CHROMA_DOC, "chroma": [[0.1, float("inf")], [0.3, 0.4]]},
+         "chroma values has 1 non-finite entries (NaN or inf)"),
+        (load_bars, "not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (load_bars, {"bars": [0.0, 1.0]}, "malformed bar document: 'downbeats'"),
+        (load_bars, {"downbeats": 5}, "downbeats must be order 1, got shape ()"),
+        (load_bars, {"downbeats": [[0.0], [2.0], [4.0]]}, "downbeats must be order 1, got shape (3, 1)"),
+        (load_bars, {"downbeats": [0.0, float("nan")]}, "downbeats has 1 non-finite entries (NaN or inf)"),
+        (load_bars, {"downbeats": [0.0, 2.0, 2.0]}, "downbeats not strictly increasing at index 2"),
+        (load_bars, {"downbeats": [0.0]}, "bar grid needs at least 2 downbeats"),
+        (load_bars, {"downbeats": "x"}, "could not convert string to float: 'x'"),
+    ],
+    ids=[
+        "chroma-invalid-json", "chroma-not-an-object", "chroma-null", "chroma-missing-key",
+        "chroma-width", "chroma-1-d", "frame-count", "frame-times-scalar", "frame-times-order",
+        "chroma-string", "chroma-inf", "bars-invalid-json", "bars-missing-key", "bars-scalar",
+        "bars-column", "bars-nan", "bars-order", "bars-one-downbeat", "bars-string",
+    ],
+)
+def test_loader_errors_name_the_file(tmp_path, load, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    with pytest.raises(IngestError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+class TestArrayFields:
+    """`Chromagram` and `BarGrid` read their arrays with `real_array`."""
+
+    def test_lists_read_as_float64(self):
+        bars = BarGrid([0, 1, 2])
+        assert bars.n_bars == 2 and bars.downbeats.dtype == np.float64
+        chroma = Chromagram(frame_times=[0, 1, 2], values=[[1, 0, 2]])
+        assert (chroma.n_pitch_classes, chroma.n_frames) == (1, 3)
+        assert chroma.values.dtype == chroma.frame_times.dtype == np.float64
+
+    def test_float64_arrays_kept(self):
+        times, values = np.arange(3.0), np.asfortranarray(np.ones((2, 3)))
+        chroma = Chromagram(frame_times=times, values=values)
+        assert chroma.frame_times is times and chroma.values is values
+
+    @pytest.mark.parametrize(
+        "downbeats, message",
+        [
+            (np.float64(1.0), "downbeats must be order 1, got shape ()"),
+            (np.zeros((3, 1)), "downbeats must be order 1, got shape (3, 1)"),
+            (np.arange(3) + 0j, "downbeats must be bool, integer or float of at most 64 bits, "
+             "got dtype complex128"),
+            (np.array([0.0, np.inf]), "downbeats has 1 non-finite entries (NaN or inf)"),
+        ],
+        ids=["scalar", "2-d", "complex", "inf"],
+    )
+    def test_bad_downbeats(self, downbeats, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BarGrid(downbeats)
+
+    @pytest.mark.parametrize(
+        "frame_times, values, message",
+        [
+            (0.0, np.ones((2, 1)), "frame times must be order 1, got shape ()"),
+            (np.zeros((2, 1)), np.ones((2, 2)), "frame times must be order 1, got shape (2, 1)"),
+            (np.arange(4.0), np.ones(4), "chroma values must be order 2, got shape (4,)"),
+            (np.arange(2.0), np.ones((1, 1, 2)), "chroma values must be order 2, got shape (1, 1, 2)"),
+            (np.arange(2.0), np.ones((3, 2)) + 1j, "chroma values must be bool, integer or float of "
+             "at most 64 bits, got dtype complex128"),
+            (np.arange(2.0), np.full((3, 2), np.nan), "chroma values has 6 non-finite entries (NaN or inf)"),
+        ],
+        ids=["scalar-times", "2-d-times", "1-d-values", "3-d-values", "complex-values", "nan-values"],
+    )
+    def test_bad_chromagram(self, frame_times, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Chromagram(frame_times=frame_times, values=values)
 
 
 class TestTensorize:
@@ -319,8 +433,18 @@ class TestSynthSong:
             synth_song([np.ones((2, 2))], [])
 
     def test_one_dimensional_patterns_rejected(self):
-        with pytest.raises(ValueError, match=r"^patterns must be 2-D, got shape \(4,\)$"):
+        with pytest.raises(ValueError, match=r"^pattern 0 must be order 2, got shape \(4,\)$"):
             synth_song([np.ones(4)], [0, 0])
+
+    def test_nan_pattern_rejected(self):
+        pattern = np.ones((2, 2))
+        pattern[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^pattern 1 has 1 non-finite entries \(NaN or inf\)$"):
+            synth_song([np.ones((2, 2)), pattern], [0, 1])
+
+    def test_patterns_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^all patterns must share one shape$"):
+            synth_song([np.ones((2, 2)), np.ones((2, 3))], [0, 1])
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,16 @@ class TestHalsNnls:
         z = converge(hals_nnls, *problem, start=z_star)
         np.testing.assert_allclose(z, z_star, atol=1e-12)
 
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_negative_start_clipped(self, diagonal):
+        # Row 1 has no positive Gram diagonal entry, so it keeps its start.
+        gram = np.array([[1.0, 0.0], [0.0, diagonal]])
+        cross = np.array([[1.0, 2.0], [3.0, 4.0]])
+        z0 = np.array([[-1.0, -1.0], [-5.0, 2.0]])
+        z = hals_nnls(gram, cross, z0)
+        assert_same_bits(z, np.array([[1.0, 2.0], [0.0, 2.0]]))
+        assert_same_bits(z, hals_nnls_loop(gram, cross, np.maximum(z0, 0.0)))
+
     def test_never_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
@@ -300,7 +310,7 @@ class TestHalsNnls:
 
     @pytest.mark.parametrize("cross_shape", [(3,), (3, 2, 2)], ids=["1-d", "3-d"])
     def test_cross_not_two_dimensional(self, cross_shape):
-        message = f"cross must be 2-D, got shape {cross_shape}"
+        message = f"cross must be order 2, got shape {cross_shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hals_nnls(np.eye(3), np.ones(cross_shape), np.ones(cross_shape))
 

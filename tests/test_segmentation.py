@@ -159,7 +159,7 @@ class TestAutosimilarity:
         np.testing.assert_allclose(np.diag(a), 1.0, rtol=1e-12)
 
     def test_one_dimensional_features_rejected(self):
-        with pytest.raises(ValueError, match=r"^features must be 2-D, got shape \(4,\)$"):
+        with pytest.raises(ValueError, match=r"^features must be order 2, got shape \(4,\)$"):
             autosimilarity_from_features(np.ones(4))
 
     def test_empty_rows(self):
