@@ -30,7 +30,7 @@ class NtdRanks:
     def __post_init__(self):
         for name in ("f_rank", "t_rank", "b_rank"):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer")
 
     def as_tuple(self) -> tuple[int, int, int]:
@@ -43,7 +43,8 @@ class NtdConfig:
     fix_w_to_identity: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.max_outer_iters, Integral) and self.max_outer_iters >= 0):
+        value = self.max_outer_iters
+        if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 0):
             raise ValueError("max_outer_iters must be a nonnegative integer")
 
 

@@ -106,7 +106,9 @@ def _load_json(path, kind: str, build):
 
 def _chromagram(doc) -> Chromagram:
     chroma = np.array(doc["chroma"], dtype=float)
-    pitch_classes = int(doc["pitch_classes"])
+    pitch_classes = doc["pitch_classes"]
+    if type(pitch_classes) is not int:  # a JSON integer; not a float or a bool
+        raise IngestError(f"pitch_classes must be an integer, got {pitch_classes!r}")
     if chroma.ndim != 2 or chroma.shape[1] != pitch_classes:
         raise IngestError(f"chroma frames must each have {pitch_classes} entries")
     return Chromagram(frame_times=np.array(doc["frame_times"], dtype=float), values=chroma.T)
@@ -171,7 +173,11 @@ def tensorize(chroma: Chromagram, bars: BarGrid, frames_per_bar: int = 96) -> np
     time to their center, the earlier one on a tie. A bar containing no
     chroma frames at all is a degenerate input and rejected.
     """
-    if not isinstance(frames_per_bar, (int, np.integer)) or frames_per_bar < 1:
+    if (
+        isinstance(frames_per_bar, bool)
+        or not isinstance(frames_per_bar, (int, np.integer))
+        or frames_per_bar < 1
+    ):
         raise ValueError("frames_per_bar must be a positive integer")
     times, beats, fpb, n_bars = chroma.frame_times, bars.downbeats, frames_per_bar, bars.n_bars
     first = np.searchsorted(times, beats)  # bar b holds frames first[b]:first[b + 1]

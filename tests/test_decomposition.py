@@ -117,7 +117,8 @@ class TestNtdRanks:
     @pytest.mark.parametrize(
         "ranks, field",
         [((4.0, 2, 2), "f_rank"), ((4, 2.5, 2), "t_rank"), ((4, 2, "2"), "b_rank"),
-         ((4, 2, 0), "b_rank")],
+         ((4, 2, 0), "b_rank"), ((True, 1, 1), "f_rank"), ((False, 1, 1), "f_rank"),
+         ((4, True, 2), "t_rank"), ((4, 2, False), "b_rank")],
     )
     def test_non_integer_or_non_positive_rank_rejected(self, ranks, field):
         with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
@@ -131,6 +132,11 @@ class TestNtdConfig:
     def test_non_integer_max_outer_iters_rejected(self):
         with pytest.raises(ValueError, match="max_outer_iters must be a nonnegative integer"):
             NtdConfig(max_outer_iters=2.5)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_max_outer_iters_rejected(self, value):
+        with pytest.raises(ValueError, match="^max_outer_iters must be a nonnegative integer$"):
+            NtdConfig(max_outer_iters=value)
 
     def test_negative_max_outer_iters_rejected(self):
         with pytest.raises(ValueError, match="max_outer_iters"):

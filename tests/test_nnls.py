@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ntdseg import decomposition
 from ntdseg.decomposition import NtdConfig, NtdRanks, decompose
-from ntdseg.nnls import core_prox_gradient, hals_nnls
+from ntdseg.nnls import HALS_SWEEPS, core_prox_gradient, hals_nnls
 from ntdseg.tensor_ops import mode_product, reconstruct
 
 
@@ -83,11 +83,11 @@ def active_set_oracle(problem: NnlsProblem) -> np.ndarray:
     return z
 
 
-def hals_nnls_loop(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray:
+def hals_nnls_loop(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray, sweeps=4) -> np.ndarray:
     """Oracle: the HALS row loop in normalized form, written with one fresh
-    array per step, ``min(100, ceil((1 + r) / 2))`` sweeps for rank r. Row
-    j's block minimiser is ``max(0, cross[j] / d - sum_{k != j} gram[j, k]
-    / d * z[k])`` with ``d = gram[j, j] > 0``; other rows stay."""
+    array per step, `sweeps` sweeps whatever the rank. Row j's block
+    minimiser is ``max(0, cross[j] / d - sum_{k != j} gram[j, k] / d *
+    z[k])`` with ``d = gram[j, j] > 0``; other rows stay."""
     z = np.array(z0, dtype=float)
     if z.shape != cross.shape:
         raise ValueError(f"z0 shape {z.shape} does not match cross shape {cross.shape}")
@@ -95,7 +95,7 @@ def hals_nnls_loop(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.nd
         raise ValueError("non-finite entries in z0")
 
     r = gram.shape[0]
-    for _ in range(min(100, math.ceil((1 + r) / 2))):
+    for _ in range(sweeps):
         for j in range(r):
             denom = gram[j, j]
             if denom <= 0.0:
@@ -106,14 +106,14 @@ def hals_nnls_loop(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.nd
     return z
 
 
-def hals_nnls_step_loop(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray) -> np.ndarray:
+def hals_nnls_step_loop(gram: np.ndarray, cross: np.ndarray, z0: np.ndarray, sweeps=4) -> np.ndarray:
     """Oracle: the same HALS sweeps written as a gradient step of length
     ``1 / gram[j, j]`` on row j, ``max(0, z[j] + (cross[j] - gram[j] @ z) /
     gram[j, j])``, the textbook form. Equal to `hals_nnls_loop` in exact
     arithmetic, not bit for bit."""
     z = np.array(z0, dtype=float)
     r = gram.shape[0]
-    for _ in range(min(100, math.ceil((1 + r) / 2))):
+    for _ in range(sweeps):
         for j in range(r):
             denom = gram[j, j]
             if denom <= 0.0:
@@ -524,6 +524,14 @@ class TestFastLoopsMatchOracles:
             converge(hals_nnls, gram, cross, start=z0, calls=calls),
             converge(hals_nnls_loop, gram, cross, start=z0, calls=calls),
         )
+
+    @pytest.mark.parametrize("r", [1, 12, 48])
+    def test_hals_sweeps_do_not_depend_on_rank(self, r):
+        gram, cross, z0 = hals_case(r, 20, False, True, False, seed=r)
+        z = z0
+        for _ in range(HALS_SWEEPS):
+            z = hals_nnls_loop(gram, cross, z, sweeps=1)
+        assert_same_bits(hals_nnls(gram, cross, z0), z)
 
     @settings(max_examples=150, deadline=None)
     @hals_cases
