@@ -8,6 +8,7 @@ import numpy as np
 
 from . import evaluation, ingest, segmentation
 from .decomposition import NtdConfig, NtdRanks, decompose
+from .tensor_ops import integer_arg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,14 +130,11 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    for flag, value in (("--pattern-count", args.pattern_count), ("--blocks", args.blocks),
-                        ("--block-bars", args.block_bars)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-    for flag, value in (("--pitch-classes", args.pitch_classes),
-                        ("--frames-per-bar", args.frames_per_bar)):
-        if value < 0:
-            raise ValueError(f"{flag} must not be negative, got {value}")
+    integer_arg(args.pattern_count, "--pattern-count", 1)
+    integer_arg(args.blocks, "--blocks", 1)
+    integer_arg(args.block_bars, "--block-bars", 1)
+    integer_arg(args.pitch_classes, "--pitch-classes", 0)
+    integer_arg(args.frames_per_bar, "--frames-per-bar", 0)
     rng = np.random.default_rng(args.seed)
     patterns = [
         rng.uniform(0.0, 1.0, (args.pitch_classes, args.frames_per_bar))

@@ -4,12 +4,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from .nnls import core_prox_gradient, hals_nnls
-from .tensor_ops import mode_product, real_array, reconstruct, truncated_hosvd
+from .tensor_ops import integer_arg, mode_product, real_array, reconstruct, truncated_hosvd
 
 # Below this fraction of ||x||^2, `decompose` takes a cycle's objective
 # from the explicit residual instead of the Gram form. The Gram form adds
@@ -29,9 +28,7 @@ class NtdRanks:
 
     def __post_init__(self):
         for name in ("f_rank", "t_rank", "b_rank"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, integer_arg(getattr(self, name), name, 1))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.f_rank, self.t_rank, self.b_rank)
@@ -43,9 +40,11 @@ class NtdConfig:
     fix_w_to_identity: bool = False
 
     def __post_init__(self):
-        value = self.max_outer_iters
-        if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 0):
-            raise ValueError("max_outer_iters must be a nonnegative integer")
+        iters = integer_arg(self.max_outer_iters, "max_outer_iters", 0)
+        object.__setattr__(self, "max_outer_iters", iters)
+        if not isinstance(self.fix_w_to_identity, (bool, np.bool_)):
+            raise ValueError(f"fix_w_to_identity must be a bool, got {self.fix_w_to_identity!r}")
+        object.__setattr__(self, "fix_w_to_identity", bool(self.fix_w_to_identity))
 
 
 @dataclass

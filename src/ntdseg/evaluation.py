@@ -13,6 +13,7 @@ from .segmentation import (
     boundaries_to_times,
     segment,
 )
+from .tensor_ops import integer_arg
 
 DEFAULT_TOLERANCES = (0.5, 3.0)
 
@@ -49,7 +50,11 @@ def _max_matching(reference: list[float], estimate: list[float], tolerance: floa
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if not (np.isfinite(tolerance) and tolerance > 0):
+    try:
+        valid = bool(np.isfinite(tolerance) and tolerance > 0)
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
         raise ValueError("tolerance must be a positive finite number")
 
 
@@ -92,10 +97,9 @@ class SweepEntry:
 
 def default_rank_grid(low: int = 12, high: int = 48, step: int = 4):
     """Grid of (t_rank, b_rank) pairs, 12..48 step 4 by default."""
-    if step <= 0:
-        raise ValueError(f"rank step must be positive, got {step}")
-    if low < 1:
-        raise ValueError(f"lowest rank must be at least 1, got {low}")
+    step = integer_arg(step, "rank step", 1)
+    low = integer_arg(low, "lowest rank", 1)
+    high = integer_arg(high, "highest rank", 1)
     if low > high:
         raise ValueError(f"lowest rank {low} exceeds highest rank {high}")
     values = range(low, high + 1, step)

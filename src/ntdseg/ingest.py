@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import real_array
+from .tensor_ops import integer_arg, real_array
 
 
 class IngestError(ValueError):
@@ -106,9 +106,7 @@ def _load_json(path, kind: str, build):
 
 def _chromagram(doc) -> Chromagram:
     chroma = np.array(doc["chroma"], dtype=float)
-    pitch_classes = doc["pitch_classes"]
-    if type(pitch_classes) is not int:  # a JSON integer; not a float or a bool
-        raise IngestError(f"pitch_classes must be an integer, got {pitch_classes!r}")
+    pitch_classes = integer_arg(doc["pitch_classes"], "pitch_classes", 0)
     if chroma.ndim != 2 or chroma.shape[1] != pitch_classes:
         raise IngestError(f"chroma frames must each have {pitch_classes} entries")
     return Chromagram(frame_times=np.array(doc["frame_times"], dtype=float), values=chroma.T)
@@ -173,13 +171,8 @@ def tensorize(chroma: Chromagram, bars: BarGrid, frames_per_bar: int = 96) -> np
     time to their center, the earlier one on a tie. A bar containing no
     chroma frames at all is a degenerate input and rejected.
     """
-    if (
-        isinstance(frames_per_bar, bool)
-        or not isinstance(frames_per_bar, (int, np.integer))
-        or frames_per_bar < 1
-    ):
-        raise ValueError("frames_per_bar must be a positive integer")
-    times, beats, fpb, n_bars = chroma.frame_times, bars.downbeats, frames_per_bar, bars.n_bars
+    fpb = integer_arg(frames_per_bar, "frames_per_bar", 1)
+    times, beats, n_bars = chroma.frame_times, bars.downbeats, bars.n_bars
     first = np.searchsorted(times, beats)  # bar b holds frames first[b]:first[b + 1]
     counts = np.diff(first)
     if not counts.all():
@@ -217,6 +210,7 @@ def synth_song(
     [0, noise_level]. Bars are uniform in time and reference boundaries
     sit exactly where the assigned pattern changes.
     """
+    bar_assignment = [integer_arg(idx, "pattern index", 0) for idx in bar_assignment]
     if not bar_assignment:
         raise ValueError("bar_assignment must be nonempty")
     if not (math.isfinite(noise_level) and noise_level >= 0):
@@ -227,7 +221,7 @@ def synth_song(
         raise ValueError("all patterns must share one shape")
     (shape,) = shapes
     for idx in bar_assignment:
-        if not 0 <= idx < len(patterns):
+        if idx >= len(patterns):
             raise ValueError(f"pattern index {idx} out of range")
 
     n_pc, frames = shape

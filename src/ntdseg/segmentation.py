@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from .ingest import BarGrid
-from .tensor_ops import real_array
+from .tensor_ops import integer_arg, real_array
 
 
 @dataclass(frozen=True)
@@ -17,12 +16,14 @@ class SegmentationConfig:
     kernel_band: int = 4
 
     def __post_init__(self):
-        if not (np.isfinite(self.penalty_weight) and self.penalty_weight >= 0):
+        try:
+            valid = bool(np.isfinite(self.penalty_weight) and self.penalty_weight >= 0)
+        except TypeError:  # not a number
+            valid = False
+        if not valid:
             raise ValueError("penalty_weight must be a nonnegative finite number")
-        if not (isinstance(self.max_segment_bars, Integral) and self.max_segment_bars >= 2):
-            raise ValueError("max_segment_bars must be an integer of at least 2")
-        if not (isinstance(self.kernel_band, Integral) and self.kernel_band >= 1):
-            raise ValueError("kernel_band must be a positive integer")
+        for name, minimum in (("max_segment_bars", 2), ("kernel_band", 1)):
+            object.__setattr__(self, name, integer_arg(getattr(self, name), name, minimum))
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ def raw_score(a: np.ndarray, b1: int, b2: int, band: int = 4) -> float:
 def penalty(n: int) -> float:
     """Segment-length regularity prior: 8-bar segments are free, then
     multiples of 4, then even lengths, with odd lengths penalized most."""
-    if n < 1:
-        raise ValueError("segment length must be positive")
+    n = integer_arg(n, "segment length", 1)
     if n == 8:
         return 0.0
     if n % 4 == 0:

@@ -1,8 +1,6 @@
 """Dense order-3 tensor arithmetic: mode products, reconstruction, HOSVD."""
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
 
@@ -25,14 +23,20 @@ def real_array(array, name: str, order: int | None = None) -> np.ndarray:
     return array
 
 
-def _check_mode(mode: int) -> None:
-    if mode not in (0, 1, 2):
-        raise ValueError(f"mode must be 0, 1 or 2, got {mode}")
+def integer_arg(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """`value` as a Python int. Raise ValueError unless it is a Python or
+    numpy integer, not a bool, of at least `minimum` and, if `maximum` is
+    given, of at most `maximum`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if minimum <= value and (maximum is None or value <= maximum):
+            return int(value)
+    bounds = f"of at least {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Contract `matrix` with `tensor` along `mode` (the n-mode product)."""
-    _check_mode(mode)
+    mode = integer_arg(mode, "mode", 0, 2)
     if tensor.ndim != 3:
         raise ValueError(f"tensor must be order 3, got shape {tensor.shape}")
     if matrix.ndim != 2 or matrix.shape[1] != tensor.shape[mode]:
@@ -78,14 +82,9 @@ def truncated_hosvd(
     tensor = real_array(tensor, "tensor", 3)
     if len(ranks) != 3:
         raise ValueError(f"ranks must hold 3 entries, got {len(ranks)}")
-    for mode in skip_modes:
-        if mode not in (0, 1, 2):
-            raise ValueError(f"skipped mode must be 0, 1 or 2, got {mode!r}")
+    skip_modes = {integer_arg(mode, "skipped mode", 0, 2) for mode in skip_modes}
+    ranks = [integer_arg(rank, f"rank of mode {mode}", 1) for mode, rank in enumerate(ranks)]
     for mode in range(3):
-        if not (isinstance(ranks[mode], Integral) and ranks[mode] >= 1):
-            raise ValueError(
-                f"rank of mode {mode} must be an integer of at least 1, got {ranks[mode]!r}"
-            )
         if ranks[mode] > tensor.shape[mode]:
             raise ValueError(
                 f"rank {ranks[mode]} exceeds dimension {tensor.shape[mode]} "

@@ -126,7 +126,7 @@ def test_zero_rank_step_rejected(tmp_path, capsys):
         "--rank-step", "0", "--out", str(out),
     )
     assert code == 1
-    assert "rank step must be positive, got 0" in capsys.readouterr().err
+    assert "rank step must be an integer of at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -136,8 +136,8 @@ def test_empty_rank_range_rejected(tmp_path, capsys):
     out = tmp_path / "sweep.tsv"
     for low, high, message in [
         ("50", "12", "lowest rank 50 exceeds highest rank 12"),
-        ("0", "4", "lowest rank must be at least 1, got 0"),
-        ("-2", "4", "lowest rank must be at least 1, got -2"),
+        ("0", "4", "lowest rank must be an integer of at least 1, got 0"),
+        ("-2", "4", "lowest rank must be an integer of at least 1, got -2"),
     ]:
         code = run(
             "sweep", "--chroma", f"{prefix}.chroma.json", "--bars", f"{prefix}.bars.json",
@@ -225,7 +225,7 @@ def test_synth_infinite_noise_rejected(tmp_path, capsys):
 def test_synth_zero_pattern_count_rejected(tmp_path, capsys, flag, value):
     prefix = tmp_path / "song"
     assert run(*synth_args(prefix, **{flag: value})) == 1
-    assert f"--{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert f"--{flag} must be an integer of at least 1, got {value}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -263,7 +263,7 @@ def test_evaluate_bad_tolerance_writes_nothing(tmp_path, capsys):
 def test_synth_negative_dimension_rejected(tmp_path, capsys, flag):
     prefix = tmp_path / "song"
     assert run(*synth_args(prefix, **{flag: -1})) == 1
-    assert f"--{flag} must not be negative, got -1" in capsys.readouterr().err
+    assert f"--{flag} must be an integer of at least 0, got -1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -121,7 +122,9 @@ class TestNtdRanks:
          ((4, True, 2), "t_rank"), ((4, 2, False), "b_rank")],
     )
     def test_non_integer_or_non_positive_rank_rejected(self, ranks, field):
-        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        value = ranks[["f_rank", "t_rank", "b_rank"].index(field)]
+        message = f"{field} must be an integer of at least 1, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             NtdRanks(*ranks)
 
     def test_numpy_integers_accepted(self):
@@ -130,12 +133,12 @@ class TestNtdRanks:
 
 class TestNtdConfig:
     def test_non_integer_max_outer_iters_rejected(self):
-        with pytest.raises(ValueError, match="max_outer_iters must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=r"max_outer_iters must be an integer of at least 0, got 2\.5"):
             NtdConfig(max_outer_iters=2.5)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_max_outer_iters_rejected(self, value):
-        with pytest.raises(ValueError, match="^max_outer_iters must be a nonnegative integer$"):
+        with pytest.raises(ValueError, match=f"^max_outer_iters must be an integer of at least 0, got {value}$"):
             NtdConfig(max_outer_iters=value)
 
     def test_negative_max_outer_iters_rejected(self):
@@ -144,6 +147,17 @@ class TestNtdConfig:
 
     def test_boundary_values_accepted(self):
         assert NtdConfig(max_outer_iters=0).max_outer_iters == 0
+
+    @pytest.mark.parametrize("value", ["no", 1, 0.0, None])
+    def test_non_bool_fix_w_to_identity_rejected(self, value):
+        # "no" used to be truthy, so it fixed W and went into the model JSON
+        with pytest.raises(ValueError, match=f"^fix_w_to_identity must be a bool, got {value!r}$"):
+            NtdConfig(fix_w_to_identity=value)
+
+    @pytest.mark.parametrize("value", [np.True_, np.False_])
+    def test_numpy_bool_fix_w_to_identity_stored_as_bool(self, value):
+        cfg = NtdConfig(fix_w_to_identity=value)
+        assert type(cfg.fix_w_to_identity) is bool and cfg.fix_w_to_identity == value
 
 
 class TestDecompose:

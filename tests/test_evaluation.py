@@ -133,6 +133,15 @@ class TestHitRate:
         with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
             hit_rate([0.0, 10.0], [0.0, 10.0], tolerance)
 
+    @pytest.mark.parametrize("tolerance", ["1", None, 1j, [0.5]])
+    def test_non_numeric_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="^tolerance must be a positive finite number$"):
+            hit_rate([0.0, 10.0], [0.0, 10.0], tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1, np.float64(0.5), np.int64(3), 0.5])
+    def test_real_number_tolerances_accepted(self, tolerance):
+        assert hit_rate([0.0, 10.0], [0.0, 10.0], tolerance).f_measure == 1.0
+
     def test_symmetry_swaps_precision_and_recall(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -207,7 +216,7 @@ class TestRankSweep:
 
     @pytest.mark.parametrize("step", [0, -4])
     def test_non_positive_step_rejected(self, step):
-        with pytest.raises(ValueError, match="rank step must be positive"):
+        with pytest.raises(ValueError, match=f"rank step must be an integer of at least 1, got {step}"):
             default_rank_grid(12, 48, step)
 
     def test_empty_rank_range_rejected(self):
@@ -216,7 +225,7 @@ class TestRankSweep:
 
     @pytest.mark.parametrize("low", [0, -2])
     def test_rank_below_one_rejected(self, low):
-        with pytest.raises(ValueError, match=f"^lowest rank must be at least 1, got {low}$"):
+        with pytest.raises(ValueError, match=f"^lowest rank must be an integer of at least 1, got {low}$"):
             default_rank_grid(low, 4, 2)
 
     def test_empty_grid_rejected(self):
@@ -234,7 +243,7 @@ class TestRankSweep:
     @pytest.mark.parametrize("pair, message", [
         ((2, 25), r"^rank pair \(2, 25\): B-rank 25 exceeds tensor dimension 24$"),
         ((9, 2), r"^rank pair \(9, 2\): T-rank 9 exceeds tensor dimension 8$"),
-        ((0, 2), r"^rank pair \(0, 2\): t_rank must be a positive integer$"),
+        ((0, 2), r"^rank pair \(0, 2\): t_rank must be an integer of at least 1, got 0$"),
     ])
     def test_bad_rank_pair_rejected_before_any_fit(self, fits, pair, message):
         x, bars, ref = make_tiny_song()  # 6 x 8 x 24

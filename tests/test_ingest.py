@@ -180,9 +180,9 @@ CHROMA_DOC = {"pitch_classes": 2, "frame_times": [0.0, 1.0], "chroma": [[0.1, 0.
         (load_chromagram, {**CHROMA_DOC, "chroma": None}, "chroma frames must each have 2 entries"),
         (load_chromagram, {"frame_times": [0.0]}, "malformed chromagram document: 'chroma'"),
         (load_chromagram, {**CHROMA_DOC, "pitch_classes": 3}, "chroma frames must each have 3 entries"),
-        (load_chromagram, {**CHROMA_DOC, "pitch_classes": 2.9}, "pitch_classes must be an integer, got 2.9"),
+        (load_chromagram, {**CHROMA_DOC, "pitch_classes": 2.9}, "pitch_classes must be an integer of at least 0, got 2.9"),
         (load_chromagram, {**CHROMA_DOC, "pitch_classes": True, "chroma": [[0.1], [0.3]]},
-         "pitch_classes must be an integer, got True"),
+         "pitch_classes must be an integer of at least 0, got True"),
         (load_chromagram, {**CHROMA_DOC, "chroma": [0.1, 0.2]}, "chroma frames must each have 2 entries"),
         (load_chromagram, {**CHROMA_DOC, "frame_times": [0.0]}, "1 frame times for 2 chroma frames"),
         (load_chromagram, {**CHROMA_DOC, "frame_times": 0.0}, "frame times must be order 1, got shape ()"),
@@ -341,14 +341,14 @@ class TestTensorize:
     def test_non_integer_frames_per_bar_rejected(self):
         chroma = make_chromagram(np.random.default_rng(10))
         bars = BarGrid(downbeats=np.array([0.0, 5.0, 10.0]))
-        with pytest.raises(ValueError, match="frames_per_bar must be a positive integer"):
+        with pytest.raises(ValueError, match=r"frames_per_bar must be an integer of at least 1, got 2\.5"):
             tensorize(chroma, bars, frames_per_bar=2.5)
 
     @pytest.mark.parametrize("frames_per_bar", [True, False])
     def test_bool_frames_per_bar_rejected(self, frames_per_bar):
         chroma = make_chromagram(np.random.default_rng(10))
         bars = BarGrid(downbeats=np.array([0.0, 5.0, 10.0]))
-        with pytest.raises(ValueError, match="^frames_per_bar must be a positive integer$"):
+        with pytest.raises(ValueError, match=f"^frames_per_bar must be an integer of at least 1, got {frames_per_bar}$"):
             tensorize(chroma, bars, frames_per_bar=frames_per_bar)
 
     @settings(max_examples=300, deadline=None)

@@ -367,8 +367,8 @@ class TestSegment:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("kernel_band", "kernel_band must be a positive integer"),
-            ("max_segment_bars", "max_segment_bars must be an integer of at least 2"),
+            ("kernel_band", r"kernel_band must be an integer of at least 1, got 4\.5"),
+            ("max_segment_bars", r"max_segment_bars must be an integer of at least 2, got 4\.5"),
         ],
     )
     def test_non_integer_field_rejected(self, field, message):
@@ -379,6 +379,15 @@ class TestSegment:
     def test_non_finite_penalty_weight_rejected(self, weight):
         with pytest.raises(ValueError, match="penalty_weight must be a nonnegative finite"):
             SegmentationConfig(penalty_weight=weight)
+
+    @pytest.mark.parametrize("weight", ["1", None, 1j, [0.5]])
+    def test_non_numeric_penalty_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="^penalty_weight must be a nonnegative finite number$"):
+            SegmentationConfig(penalty_weight=weight)
+
+    @pytest.mark.parametrize("weight", [0, 2, np.float64(0.5), np.int64(3)])
+    def test_real_number_penalty_weights_accepted(self, weight):
+        assert SegmentationConfig(penalty_weight=weight).penalty_weight == weight
 
     def test_non_square_autosimilarity_rejected(self):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(5, 7\)"):

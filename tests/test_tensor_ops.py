@@ -282,7 +282,7 @@ class TestTruncatedHosvd:
 
     @pytest.mark.parametrize("skip", [(5,), (0, -1)])
     def test_bad_skipped_mode_rejected(self, skip):
-        with pytest.raises(ValueError, match=f"^skipped mode must be 0, 1 or 2, got {skip[-1]}$"):
+        with pytest.raises(ValueError, match=f"^skipped mode must be an integer from 0 to 2, got {skip[-1]}$"):
             ops.truncated_hosvd(np.ones((2, 3, 4)), (2, 3, 4), skip_modes=skip)
 
     def test_order_two_tensor_rejected(self):
